@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import sys
 import time
@@ -55,7 +56,7 @@ def _seed_from(args) -> int:
         try:
             return int(env_seed)
         except ValueError:
-            raise SystemExit(2)
+            raise ValueError(f"bad CRSCL_SEED: {env_seed!r} is not an integer") from None
     return DEFAULT_SEED
 
 
@@ -177,11 +178,7 @@ def _report_csv(rows) -> str:
 
 def cmd_stress(args) -> int:
     precision = Precision.parse(args.precision)
-    try:
-        name = ProfileName(args.profile)
-    except ValueError:
-        print(f"unknown profile: {args.profile}", file=sys.stderr)
-        return 2
+    name = ProfileName(args.profile)
     engines = [Engine(e) for e in (args.engine or ["crscl"])]
     profile = CaseProfile(name, seed=_seed_from(args), count=args.count)
     rows = []
@@ -335,8 +332,17 @@ def cmd_scale(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in any form parse_real accepts (-0x1p+3,
+    -inf, -.5) as a value, not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="crscl", description=__doc__)
+    p = _Parser(prog="crscl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -351,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stress", help="differential bound-conformance sweep")
     common(sp)
-    sp.add_argument("--profile", default="safe",
-                    help="safe|huge|tiny|mixed|subnormal|special")
+    sp.add_argument("--profile", default="safe", choices=[n.value for n in ProfileName])
     sp.add_argument("--count", type=int, default=10_000)
     sp.add_argument("--engine", action="append",
                     choices=[e.value for e in Engine],

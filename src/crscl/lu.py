@@ -16,7 +16,6 @@ import numpy as np
 from .fpenv import FpEnv, Precision, fp_env
 from .vector import (
     Division,
-    FlopCounter,
     StridedVector,
     crscl,
     scal_complex,

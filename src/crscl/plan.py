@@ -59,12 +59,20 @@ class ScalePlan:
 
 def as_parts(a, env: FpEnv):
     """Round a complex-like value to the target precision's part pair."""
-    f = env.ftype
     with np.errstate(all="ignore"):
-        if isinstance(a, tuple):
-            return f(a[0]), f(a[1])
-        c = complex(a)
-        return f(c.real), f(c.imag)
+        return _as_parts(a, env)
+
+
+# The private helpers below run under the caller's np.errstate, so that a
+# public call enters one context, not one per helper.
+
+
+def _as_parts(a, env: FpEnv):
+    f = env.ftype
+    if isinstance(a, tuple):
+        return f(a[0]), f(a[1])
+    c = complex(a)
+    return f(c.real), f(c.imag)
 
 
 def compute_uv(a, env: FpEnv):
@@ -73,18 +81,18 @@ def compute_uv(a, env: FpEnv):
     (1/ur, -1/ui) is mathematically the reciprocal of a.  Both parts of a
     must be nonzero; zero-part denominators are routed elsewhere.
     """
-    ur, ui, _, _ = _uv_with_ratios(*as_parts(a, env))
+    with np.errstate(all="ignore"):
+        ur, ui, _, _ = _uv_with_ratios(*_as_parts(a, env))
     return ur, ui
 
 
 def _uv_with_ratios(ar, ai):
     # The parenthesization is load-bearing: it decides where NaN and
     # infinity appear for extreme operands.
-    with np.errstate(all="ignore"):
-        r1 = ai / ar
-        ur = ar + ai * r1
-        r2 = ar / ai
-        ui = ai + ar * r2
+    r1 = ai / ar
+    ur = ar + ai * r1
+    r2 = ar / ai
+    ui = ai + ar * r2
     return ur, ui, r1, r2
 
 
@@ -94,20 +102,18 @@ def _axis_steps(v, env: FpEnv, make):
     `make(x)` builds the step carrying factor x (real factor 1/v, or
     imaginary factor -1/v).  Returns (steps, real division count).
     """
-    f = env.ftype
-    one = f(1.0)
-    with np.errstate(all="ignore"):
-        if safe_range(v, env):
-            return (make(one / v),), 1
-        av = abs(v)
-        if av < env.sfmin:
-            # Includes v == +-0: the factor becomes infinite, as IEEE
-            # division semantics dictate for a zero denominator.
-            return (make(env.sfmin / v), ScaleStep.real(env.inv_sfmin)), 1
-        if av > env.inv_sfmin:
-            return (ScaleStep.real(env.sfmin), make(one / (env.sfmin * v))), 1
-        # NaN: a single propagating factor.
+    one = env.ftype(1.0)
+    if safe_range(v, env):
         return (make(one / v),), 1
+    av = abs(v)
+    if av < env.sfmin:
+        # Includes v == +-0: the factor becomes infinite, as IEEE
+        # division semantics dictate for a zero denominator.
+        return (make(env.sfmin / v), ScaleStep.real(env.inv_sfmin)), 1
+    if av > env.inv_sfmin:
+        return (ScaleStep.real(env.sfmin), make(one / (env.sfmin * v))), 1
+    # NaN: a single propagating factor.
+    return (make(one / v),), 1
 
 
 def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
@@ -117,21 +123,21 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
     operands propagate NaN factors, and only a == +-0 +- 0i yields
     infinite factors.
     """
-    ar, ai = as_parts(a, env)
-    f = env.ftype
-    one = f(1.0)
-    neg = f(-1.0)
-
-    if ai == 0:
-        steps, divs = _axis_steps(ar, env, lambda x: ScaleStep.real(x))
-        return ScalePlan(steps, CaseTag.REAL_DENOMINATOR, divs)
-    if ar == 0:
-        steps, divs = _axis_steps(ai, env, lambda x: ScaleStep.imaginary(-x))
-        return ScalePlan(steps, CaseTag.IMAGINARY_DENOMINATOR, divs)
-
-    ur, ui, r1, r2 = _uv_with_ratios(ar, ai)
-    sfmin = env.sfmin
     with np.errstate(all="ignore"):
+        ar, ai = _as_parts(a, env)
+        f = env.ftype
+        one = f(1.0)
+        neg = f(-1.0)
+
+        if ai == 0:
+            steps, divs = _axis_steps(ar, env, ScaleStep.real)
+            return ScalePlan(steps, CaseTag.REAL_DENOMINATOR, divs)
+        if ar == 0:
+            steps, divs = _axis_steps(ai, env, lambda x: ScaleStep.imaginary(-x))
+            return ScalePlan(steps, CaseTag.IMAGINARY_DENOMINATOR, divs)
+
+        ur, ui, r1, r2 = _uv_with_ratios(ar, ai)
+        sfmin = env.sfmin
         if safe_range(ur, env) and safe_range(ui, env):
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
             tag = CaseTag.FULL_SAFE
@@ -167,4 +173,4 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
             # ur or ui is NaN with finite a (a NaN part): propagate.
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
             tag = CaseTag.FULL_SAFE
-    return ScalePlan(steps, tag, 4)
+        return ScalePlan(steps, tag, 4)

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crscl
 from crscl.cli import main
-from crscl.hexfloat import read_vector
-from crscl import Precision
+from crscl.hexfloat import read_vector, write_vector
+from crscl import Precision, StridedVector, crscl as crscl_scale, fp_env
 
 
 def run(capsys, *argv):
@@ -67,6 +71,7 @@ class TestStress:
     def test_unknown_profile(self, capsys):
         code, _, err = run(capsys, "stress", "--profile", "nope")
         assert code == 2
+        assert "choose from" in err
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("CRSCL_SEED", "7")
@@ -75,6 +80,13 @@ class TestStress:
                              "--seed", "7", "--format", "csv")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("CRSCL_SEED", "0x1p3")
+        code, out, err = run(capsys, "stress", "--profile", "safe", "--count", "10")
+        assert code == 2
+        assert out == ""
+        assert "bad CRSCL_SEED: '0x1p3'" in err
 
 
 class TestScale:
@@ -97,6 +109,17 @@ class TestScale:
         assert code == 0
         assert "case: real_denominator" in err
         assert err.count("step:") == 2
+
+    @pytest.mark.parametrize("denom", [("-0x1p+3", "0x1p+0"), ("0x1p+0", "-0x1.8p-1"), ("-inf", "-.5")])
+    def test_negative_denominator_parts(self, capsys, tmp_path, denom):
+        src = tmp_path / "v.txt"
+        src.write_text("1.0 0.0\n2.5 -1.0\n")
+        code, out, err = run(capsys, "scale", "--in", str(src), "--denom", *denom)
+        assert code == 0, err
+        x = np.array([1.0, 2.5 - 1.0j], dtype=np.complex64)
+        parts = tuple(np.float32(float.fromhex(d) if "x" in d else float(d)) for d in denom)
+        crscl_scale(StridedVector.wrap(x), parts, fp_env(Precision.BINARY32))
+        assert out == write_vector(x)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "scale", "--in", str(tmp_path / "absent"), "--denom", "1", "0")
@@ -140,3 +163,17 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "bench", "--bogus")[0] == 2
+
+
+def test_python_dash_m(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crscl.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crscl", "reproduce-issues", "--format", "json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["command"] == "reproduce-issues"
+    assert all(i["match"] for i in payload["issues"])

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from crscl import (
+    CaseTag,
     Division,
     FlopCounter,
     Precision,
+    StepKind,
     StridedVector,
     crscl,
     fp_env,
     naive_div_scale,
+    reciprocal_plan,
     rscl,
     scal_complex,
     scal_imaginary,
     scal_real,
 )
+from crscl.vector import BLOCK
 
 ENV32 = fp_env(Precision.BINARY32)
 ENV64 = fp_env(Precision.BINARY64)
@@ -180,3 +184,118 @@ class TestNaiveEngines:
         naive_div_scale(StridedVector.wrap(x), complex(3, 4), Division.SMITH, ENV32, c)
         assert c.complex_div == 5
         assert c.real_div == 15  # 3 per element for Smith
+
+
+# --------------------------------------------------------------------------
+# Bit identity of the blocked kernel against each element's expression
+# --------------------------------------------------------------------------
+
+
+def reference_scale(x, steps):
+    """Each step's per-element expression, in operand order, applied to a
+    contiguous copy of the addressed elements."""
+    re, im = x.real.copy(), x.imag.copy()
+    with np.errstate(all="ignore"):
+        for s in steps:
+            if s.kind is StepKind.REAL_FACTOR:
+                re, im = re * s.re, im * s.re
+            elif s.kind is StepKind.IMAGINARY_FACTOR:
+                re, im = -(im * s.im), re * s.im
+            else:
+                re, im = (re * s.re) - (im * s.im), (re * s.im) + (im * s.re)
+    out = np.empty_like(x)
+    out.real, out.imag = re, im
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def special_values(n, env, rng):
+    """n complex values mixing signed zeros, infinities, NaN, subnormals,
+    extremes and random normals, each part drawn independently."""
+    f = np.finfo(env.ftype)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, f.smallest_subnormal, -f.smallest_subnormal,
+         f.tiny / 3, f.tiny, f.max, -f.max, 1.0],
+        dtype=env.ftype,
+    )
+    with np.errstate(all="ignore"):
+        normal = (rng.standard_normal(2 * n) * np.exp2(rng.integers(-30, 30, 2 * n))).astype(env.ftype)
+    pick = rng.random(2 * n) < 0.3
+    normal[pick] = specials[rng.integers(0, len(specials), pick.sum())]
+    out = np.empty(n, dtype=env.ctype)
+    out.real, out.imag = normal[:n], normal[n:]
+    return out
+
+
+def denominators(env):
+    """One denominator per plan case and step count, plus zero and NaN."""
+    if env.precision is Precision.BINARY32:
+        tiny, huge = 2.0**-140, 2.0**126
+    else:
+        tiny, huge = 2.0**-1030, 2.0**1022
+    return [
+        3.0, tiny, 1.5 * huge, 0.0,
+        3j, complex(0, -tiny), complex(0, 1.5 * huge),
+        complex(3, 4), complex(float("nan"), 1.0),
+        complex(tiny, tiny / 2), complex(tiny, -3.0),
+        complex(float("inf"), 1.0),
+        complex(2 * huge, 2 * huge),
+        complex(huge, huge / 2),
+    ]
+
+
+@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["b32", "b64"])
+def test_blocked_kernel_bit_identity(env):
+    rng = np.random.default_rng(20231109)
+    plans = [reciprocal_plan(a, env) for a in denominators(env)]
+    assert {p.case for p in plans} == set(CaseTag)
+    assert {len(p.steps) for p in plans} == {1, 2}
+    # Stride 4 too: numpy 2.4.6 negates wrongly in place on a float view
+    # with a 16-byte (binary32 stride 2) or 64-byte (binary64 stride 4) step.
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+        for stride in (1, 2, 3, 4):
+            for offset in (0, 1):
+                buf = special_values(offset + stride * n + 1, env, rng)
+                sel = slice(offset, offset + stride * n, stride)
+                others = np.ones(len(buf), dtype=bool)
+                others[sel] = False
+                for a, plan in zip(denominators(env), plans):
+                    y = buf.copy()
+                    counter = FlopCounter()
+                    crscl(StridedVector(y, offset, stride, n), a, env, counter)
+                    expected = reference_scale(buf[sel], plan.steps)
+                    where = f"n={n} stride={stride} offset={offset} case={plan.case.value}"
+                    assert np.array_equal(bits(y[sel]), bits(expected)), where
+                    assert np.array_equal(bits(y[others]), bits(buf[others])), where
+                    muls = sum(4 if s.kind is StepKind.COMPLEX_FACTOR else 2 for s in plan.steps)
+                    adds = sum(2 for s in plan.steps if s.kind is StepKind.COMPLEX_FACTOR)
+                    assert (counter.real_mul, counter.real_add) == (muls * n, adds * n), where
+                    assert counter.real_div == plan.division_count, where
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_rscl_bit_identity_across_blocks(stride):
+    rng = np.random.default_rng(7)
+    n = 2 * BLOCK + 3
+    for env in (ENV32, ENV64):
+        buf = special_values(stride * n, env, rng)
+        for a in denominators(env)[:4]:
+            y = buf.copy()
+            rscl(StridedVector(y, 0, stride, n), a, env)
+            expected = reference_scale(buf[::stride], reciprocal_plan((a, 0.0), env).steps)
+            assert np.array_equal(bits(y[::stride]), bits(expected))
+
+
+def test_wider_factor_keeps_wide_intermediates():
+    # binary64 factors on a binary32 vector: every product and sum stays in
+    # binary64 and is rounded once, when stored, as the expression does.
+    x = (np.arange(1, 41) * (1.3 - 0.7j)).astype(np.complex64)
+    cr, ci = np.float64(1 / 3), np.float64(0.1)
+    y = x.copy()
+    scal_complex(StridedVector(y, 1, 2, 19), cr, ci)
+    re, im = x[1::2][:19].real, x[1::2][:19].imag
+    assert np.array_equal(y[1::2][:19].real, ((re * cr) - (im * ci)).astype(np.float32))
+    assert np.array_equal(y[1::2][:19].imag, ((re * ci) + (im * cr)).astype(np.float32))
