@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .fpenv import Precision, fp_env, gamma
+from .fpenv import Precision, fp_env
 from .hexfloat import (
     FormatError,
     format_complex_hex,
@@ -28,15 +28,14 @@ from .hexfloat import (
     read_vector,
     write_vector,
 )
-from .lu import DenseMatrix, backward_error, getf2, getf2_naive, paper_issue_matrices
+from .lu import backward_error, getf2, getf2_naive, paper_issue_matrices
 from .oracle import (
-    SQRT2,
+    NAIVE_DIVISION,
     CaseProfile,
     Engine,
     ProfileName,
     error_report,
 )
-from .plan import StepKind, reciprocal_plan
 from .vector import (
     Division,
     FlopCounter,
@@ -226,10 +225,8 @@ def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, float]
         t0 = time.perf_counter()
         if engine is Engine.CRSCL:
             crscl(sv, a, env, counter)
-        elif engine is Engine.NAIVE_SMITH:
-            naive_div_scale(sv, a, Division.SMITH, env, counter)
         else:
-            naive_div_scale(sv, a, Division.TEXTBOOK, env, counter)
+            naive_div_scale(sv, a, NAIVE_DIVISION[engine], env, counter)
         times.append(time.perf_counter() - t0)
     med = statistics.median(times)
     if n == 0:
@@ -304,17 +301,8 @@ def cmd_scale(args) -> int:
     except FormatError as e:
         print(f"bad denominator: {e}", file=sys.stderr)
         return 2
-    try:
-        with open(args.infile) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    try:
-        x = read_vector(text, precision)
-    except FormatError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    with open(args.infile) as fh:
+        x = read_vector(fh.read(), precision)
     plan = crscl(StridedVector.wrap(x), (a_re, a_im), env)
     if args.explain:
         print(f"case: {plan.case.value}", file=sys.stderr)
@@ -387,7 +375,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

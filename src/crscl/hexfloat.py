@@ -34,6 +34,12 @@ def format_complex_hex(re, im) -> str:
     return f"{format_hex(re)} {format_hex(im)}"
 
 
+# A literal beyond the binary32 range may round to infinity, which numpy
+# reports as an overflow warning; only those take an np.errstate.  (A
+# finite Python float always fits binary64.)
+_BINARY32_MAX = float(np.finfo(np.float32).max)
+
+
 def parse_real(s: str, precision: Precision):
     """Parse a hex-float or decimal literal, rounding once to the target."""
     s = s.strip()
@@ -45,6 +51,9 @@ def parse_real(s: str, precision: Precision):
             x = float.fromhex(s)
         except ValueError:
             raise FormatError(f"not a number: {s!r}") from None
+    if abs(x) > _BINARY32_MAX:
+        with np.errstate(over="ignore"):
+            return precision.ftype(x)
     return precision.ftype(x)
 
 

@@ -9,6 +9,7 @@ and reproduce bit-identical streams from their seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fpenv import FpEnv, Precision, fp_env, gamma
-from .plan import CaseTag, StepKind, reciprocal_plan
+from .plan import CaseTag, as_parts, reciprocal_plan
 from .vector import (
     Division,
     StridedVector,
@@ -42,6 +43,10 @@ class Engine(enum.Enum):
     CRSCL = "crscl"
     NAIVE_SMITH = "naive_smith"
     NAIVE_TEXTBOOK = "naive_textbook"
+
+
+# The per-element division each naive engine runs through naive_div_scale.
+NAIVE_DIVISION = {Engine.NAIVE_SMITH: Division.SMITH, Engine.NAIVE_TEXTBOOK: Division.TEXTBOOK}
 
 
 @dataclass(frozen=True)
@@ -93,24 +98,17 @@ def _rational_quotient(xr, xi, ar, ai):
 
 def exact_reciprocal_scale(x, a, target: Precision):
     """x/a in wider arithmetic, rounded once to the target precision."""
-    xc, ac = complex(x), complex(a)
-    if target is Precision.BINARY32:
-        with np.errstate(all="ignore"):
-            q = np.complex128(xc) / np.complex128(ac)
-        return target.ctype(q)
-    finite = all(map(math.isfinite, (xc.real, xc.imag, ac.real, ac.imag)))
-    if finite and ac != 0:
-        qr, qi = _rational_quotient(xc.real, xc.imag, ac.real, ac.imag)
-        return target.ctype(complex(_to_float(qr), _to_float(qi)))
     with np.errstate(all="ignore"):
-        return target.ctype(np.complex128(xc) / np.complex128(ac))
+        return target.ctype(_exact_quotients_wide(np.array([complex(x)]), a, target)[0])
 
 
 def _exact_quotients_wide(x: np.ndarray, a, precision: Precision):
-    """Unrounded wider-precision quotients for a whole vector."""
+    """Unrounded wider-precision quotients for a whole vector.
+
+    Runs under the caller's np.errstate.
+    """
     if precision is Precision.BINARY32:
-        with np.errstate(all="ignore"):
-            return x.astype(np.complex128) / np.complex128(complex(a))
+        return x.astype(np.complex128) / np.complex128(complex(a))
     ac = complex(a)
     out = np.empty(len(x), dtype=np.complex128)
     finite_a = math.isfinite(ac.real) and math.isfinite(ac.imag) and ac != 0
@@ -120,9 +118,22 @@ def _exact_quotients_wide(x: np.ndarray, a, precision: Precision):
             qr, qi = _rational_quotient(vc.real, vc.imag, ac.real, ac.imag)
             out[i] = complex(_to_float(qr), _to_float(qi))
         else:
-            with np.errstate(all="ignore"):
-                out[i] = np.complex128(vc) / np.complex128(ac)
+            out[i] = np.complex128(vc) / np.complex128(ac)
     return out
+
+
+# The error helpers work elementwise on arrays or scalars and run under the
+# caller's np.errstate.
+
+
+def _normwise_error(yr, yi, ex_re, ex_im, mod):
+    """|y - exact| / mod, where mod = |exact|."""
+    return np.hypot(yr - ex_re, yi - ex_im) / mod
+
+
+def _part_error(y, ex):
+    """|y - ex| / |ex|; 0 where both are zero, inf where only ex is."""
+    return np.where(ex != 0, np.abs(y - ex) / np.abs(ex), np.where(y == 0, 0.0, np.inf))
 
 
 def relative_error(computed, exact):
@@ -132,22 +143,19 @@ def relative_error(computed, exact):
     if e == 0 or not (math.isfinite(e.real) and math.isfinite(e.imag)):
         return None
     c = complex(computed)
-    return math.hypot(c.real - e.real, c.imag - e.imag) / math.hypot(e.real, e.imag)
+    with np.errstate(all="ignore"):
+        return float(_normwise_error(c.real, c.imag, e.real, e.imag, np.hypot(e.real, e.imag)))
 
 
 def relative_error_parts(computed, exact):
     """Per-part variant; each entry is None when that exact part is not a
     usable reference (non-finite), 0.0 when both are zero."""
     c, e = complex(computed), complex(exact)
-    out = []
-    for cp, ep in ((c.real, e.real), (c.imag, e.imag)):
-        if not math.isfinite(ep):
-            out.append(None)
-        elif ep == 0:
-            out.append(0.0 if cp == 0 else math.inf)
-        else:
-            out.append(abs(cp - ep) / abs(ep))
-    return tuple(out)
+    with np.errstate(all="ignore"):
+        return tuple(
+            float(_part_error(cp, ep)) if math.isfinite(ep) else None
+            for cp, ep in ((c.real, e.real), (c.imag, e.imag))
+        )
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +163,6 @@ def relative_error_parts(computed, exact):
 # --------------------------------------------------------------------------
 
 _INT_TYPE = {Precision.BINARY32: np.int32, Precision.BINARY64: np.int64}
-_FLOAT_BITS = {Precision.BINARY32: np.uint32, Precision.BINARY64: np.uint64}
 
 
 def _ordered_ints(values: np.ndarray, precision: Precision) -> np.ndarray:
@@ -171,15 +178,9 @@ def ulp_distance(p, q, precision: Precision):
 
     None (incomparable) for NaNs or operands of opposite nonzero sign.
     """
-    fp = precision.ftype(p)
-    fq = precision.ftype(q)
-    if np.isnan(fp) or np.isnan(fq):
-        return None
-    if (fp < 0 < fq) or (fq < 0 < fp):
-        return None
-    arr = np.array([fp, fq], dtype=precision.ftype)
-    o = _ordered_ints(arr, precision)
-    return int(abs(o[0] - o[1]))
+    f = precision.ftype
+    d = int(_ulp_distance_array(np.array([p], f), np.array([q], f), precision)[0])
+    return None if d < 0 else d
 
 
 def _ulp_distance_array(p: np.ndarray, q: np.ndarray, precision: Precision):
@@ -228,9 +229,8 @@ def _draw(rng, ftype, emin, emax, sign=True):
 
 
 def _profile_limits(precision: Precision):
-    if precision is Precision.BINARY32:
-        return dict(emax=127, emin_n=-126, emin_s=-149)
-    return dict(emax=1023, emin_n=-1022, emin_s=-1074)
+    fi = np.finfo(precision.ftype)
+    return dict(emax=fi.maxexp - 1, emin_n=fi.minexp, emin_s=fi.minexp - fi.nmant)
 
 
 def _draw_denominator(rng, name: ProfileName, env: FpEnv, lim):
@@ -270,18 +270,12 @@ def _draw_denominator(rng, name: ProfileName, env: FpEnv, lim):
 
 
 def _draw_vector(rng, env: FpEnv, n: int) -> np.ndarray:
-    f = env.ftype
-    mants = 1.0 + rng.random(n)
-    expos = rng.integers(-16, 17, size=n)
-    signs = np.where(rng.integers(0, 2, size=n), -1.0, 1.0)
-    re = np.ldexp(signs * mants, expos).astype(f)
-    mants = 1.0 + rng.random(n)
-    expos = rng.integers(-16, 17, size=n)
-    signs = np.where(rng.integers(0, 2, size=n), -1.0, 1.0)
-    im = np.ldexp(signs * mants, expos).astype(f)
     out = np.zeros(n, dtype=env.ctype)
-    out.real = re
-    out.imag = im
+    for part in (out.real, out.imag):
+        mants = 1.0 + rng.random(n)
+        expos = rng.integers(-16, 17, size=n)
+        signs = np.where(rng.integers(0, 2, size=n), -1.0, 1.0)
+        part[:] = np.ldexp(signs * mants, expos)
     return out
 
 
@@ -293,16 +287,10 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 
     if profile.name is ProfileName.SPECIAL_VALUES:
         vals = _special_values(env)
-        pairs = [(re, im) for re in vals for im in vals]
-        emitted = 0
-        while emitted < profile.count:
-            for re, im in pairs:
-                if emitted >= profile.count:
-                    break
-                n = int(rng.choice(VECTOR_LENGTHS))
-                a = env.ctype(complex(re, im))
-                yield a, _draw_vector(rng, env, n)
-                emitted += 1
+        pairs = itertools.cycle(itertools.product(vals, vals))
+        for re, im in itertools.islice(pairs, profile.count):
+            n = int(rng.choice(VECTOR_LENGTHS))
+            yield env.ctype(complex(re, im)), _draw_vector(rng, env, n)
         return
 
     tiny_axis_hi = lim["emin_n"] - 1  # exponents that force the scaled axis path
@@ -329,38 +317,26 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 _AXIS_CASES = (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
 
 
-def _uv_chain_dirty(a, env: FpEnv) -> bool:
-    """True when building ur/ui rounded inexactly in the subnormal range.
+def _uv_chain_dirty(plan, a, env: FpEnv) -> bool:
+    """True when the plan's ur/ui chain rounded inexactly in the subnormal
+    range.
 
     The gamma-style bounds assume the standard rounding model, which does
     not hold for subnormal results; a subnormal intermediate is harmless
     only when it is exact.  Exactness is checked against a binary64
-    recomputation of the same chain.
+    recomputation of the same chain.  In binary64 that recomputation
+    repeats the plan's own arithmetic, so the check cannot fire there.
     """
-    ar = env.ftype(complex(a).real)
-    ai = env.ftype(complex(a).imag)
-    if ar == 0 or ai == 0:
+    if not plan.chain:
         return False
-    if min(abs(float(ar)), abs(float(ai))) >= float(env.sfmin):
-        return False
-    with np.errstate(all="ignore"):
-        r1 = ai / ar
-        t1 = ai * r1
-        ur = ar + t1
-        r2 = ar / ai
-        t2 = ar * r2
-        ui = ai + t2
-        a6r, a6i = float(ar), float(ai)
-        w1 = a6i / a6r
-        w = [w1, a6i * w1, a6r + a6i * w1]
-        w2 = a6r / a6i
-        w += [w2, a6r * w2, a6i + a6r * w2]
+    ar, ai = (float(p) for p in as_parts(a, env))
     sfmin = float(env.sfmin)
-    for v32, v64 in zip((r1, t1, ur, r2, t2, ui), w):
-        v = float(v32)
-        if 0 < abs(v) < sfmin and v != v64:
-            return True
-    return False
+    if min(abs(ar), abs(ai)) >= sfmin:
+        return False
+    w1 = ai / ar
+    w2 = ar / ai
+    wide = (w1, ai * w1, ar + ai * w1, w2, ar * w2, ai + ar * w2)
+    return any(0 < abs(float(v)) < sfmin and float(v) != w for v, w in zip(plan.chain, wide))
 
 
 def _plan_factors_finite(plan) -> bool:
@@ -409,11 +385,10 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             y = y_plan
         else:
             y = x.copy()
-            division = Division.SMITH if engine is Engine.NAIVE_SMITH else Division.TEXTBOOK
-            naive_div_scale(StridedVector.wrap(y), a, division, env)
+            naive_div_scale(StridedVector.wrap(y), a, NAIVE_DIVISION[engine], env)
 
-        exact = _exact_quotients_wide(x, a, precision)
         with np.errstate(all="ignore"):
+            exact = _exact_quotients_wide(x, a, precision)
             ex_re, ex_im = exact.real, exact.imag
             # The reference must be representable in the target precision:
             # quotients that overflow the target are outside the bound's
@@ -426,7 +401,7 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             x_zero = (x.real == 0) & (x.imag == 0)
             x_bad = ~(np.isfinite(x.real) & np.isfinite(x.imag))
             exclude = x_zero | x_bad | ~finite_exact | (mod < min_normal) | bad_mid
-            if not _plan_factors_finite(plan) or _uv_chain_dirty(a, env):
+            if not _plan_factors_finite(plan) or _uv_chain_dirty(plan, a, env):
                 exclude |= True
             if axis:
                 for part in (ex_re, ex_im):
@@ -441,12 +416,10 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             yr = y.real.astype(np.float64)
             yi = y.imag.astype(np.float64)
             if axis:
-                err_re = np.where(ex_re != 0, np.abs(yr - ex_re) / np.abs(ex_re), np.where(yr == 0, 0.0, np.inf))
-                err_im = np.where(ex_im != 0, np.abs(yi - ex_im) / np.abs(ex_im), np.where(yi == 0, 0.0, np.inf))
-                err = np.maximum(err_re, err_im)
+                err = np.maximum(_part_error(yr, ex_re), _part_error(yi, ex_im))
                 bound = g2
             else:
-                err = np.hypot(yr - ex_re, yi - ex_im) / mod
+                err = _normwise_error(yr, yi, ex_re, ex_im, mod)
                 bound = bound_full
             err = np.where(included, err, 0.0)
             bad = included & ~np.isfinite(err)

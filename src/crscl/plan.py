@@ -52,9 +52,13 @@ class ScaleStep:
 
 @dataclass(frozen=True)
 class ScalePlan:
+    """`chain` is the (r1, t1, ur, r2, t2, ui) of `_uv_chain` when both
+    parts of the denominator are nonzero, () for the axis cases."""
+
     steps: tuple
     case: CaseTag
     division_count: int
+    chain: tuple = ()
 
 
 def as_parts(a, env: FpEnv):
@@ -82,18 +86,20 @@ def compute_uv(a, env: FpEnv):
     must be nonzero; zero-part denominators are routed elsewhere.
     """
     with np.errstate(all="ignore"):
-        ur, ui, _, _ = _uv_with_ratios(*_as_parts(a, env))
-    return ur, ui
+        chain = _uv_chain(*_as_parts(a, env))
+    return chain[2], chain[5]
 
 
-def _uv_with_ratios(ar, ai):
+def _uv_chain(ar, ai):
+    """r1 = ai/ar, t1 = ai*r1, ur = ar + t1, r2 = ar/ai, t2 = ar*r2 and
+    ui = ai + t2, each rounded to the working precision."""
     # The parenthesization is load-bearing: it decides where NaN and
     # infinity appear for extreme operands.
     r1 = ai / ar
-    ur = ar + ai * r1
+    t1 = ai * r1
     r2 = ar / ai
-    ui = ai + ar * r2
-    return ur, ui, r1, r2
+    t2 = ar * r2
+    return r1, t1, ar + t1, r2, t2, ai + t2
 
 
 def _axis_steps(v, env: FpEnv, make):
@@ -136,7 +142,7 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
             steps, divs = _axis_steps(ai, env, lambda x: ScaleStep.imaginary(-x))
             return ScalePlan(steps, CaseTag.IMAGINARY_DENOMINATOR, divs)
 
-        ur, ui, r1, r2 = _uv_with_ratios(ar, ai)
+        r1, _, ur, r2, _, ui = chain = _uv_chain(ar, ai)
         sfmin = env.sfmin
         if safe_range(ur, env) and safe_range(ui, env):
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
@@ -173,4 +179,4 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
             # ur or ui is NaN with finite a (a NaN part): propagate.
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
             tag = CaseTag.FULL_SAFE
-        return ScalePlan(steps, tag, 4)
+        return ScalePlan(steps, tag, 4, chain)

@@ -131,6 +131,17 @@ class TestScale:
         code, _, err = run(capsys, "scale", "--in", str(src), "--denom", "1", "0")
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_denominator_beyond_range_is_quiet(self, capsys, tmp_path):
+        src = tmp_path / "v.txt"
+        src.write_text("0x1p+0 0x1p+0\n")
+        code, out, err = run(
+            capsys, "scale", "--in", str(src), "--denom", "0x1.8p1023", "0x1p1022",
+        )
+        assert code == 0
+        assert err == ""
+        assert out == "nan nan\n"
+
     def test_output_file(self, capsys, tmp_path):
         src = tmp_path / "v.txt"
         src.write_text("1.0 1.0\n")
@@ -141,6 +152,25 @@ class TestScale:
         assert code == 0
         assert out == ""
         assert read_vector(dst.read_text(), Precision.BINARY32)[0] == 1 + 1j
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce-issues",),
+        ("reproduce-issues", "--format", "json"),
+        ("scale", "--in", "{vec}", "--denom", "1", "0"),
+    ],
+)
+def test_unwritable_out_is_an_io_error(capsys, tmp_path, argv):
+    vec = tmp_path / "v.txt"
+    vec.write_text("1.0 1.0\n")
+    dst = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *(a.format(vec=vec) for a in argv), "--out", str(dst))
+    assert code == 2
+    assert str(dst) in err
+    assert "Traceback" not in err
+    assert not dst.exists()
 
 
 class TestBench:

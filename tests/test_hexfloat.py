@@ -39,6 +39,13 @@ class TestScalars:
         v = parse_real("0x1.00000010p+0", Precision.BINARY32)
         assert v == np.float32(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_parse_beyond_range_rounds_without_warning(self):
+        assert parse_real("0x1.8p1023", Precision.BINARY32) == math.inf
+        assert parse_real("-1e300", Precision.BINARY32) == -math.inf
+        # just past the largest binary32 value, still rounding down to it
+        assert parse_real("0x1.fffffefp127", Precision.BINARY32) == np.finfo(np.float32).max
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
             parse_real("zz", Precision.BINARY32)

@@ -99,6 +99,11 @@ class TestExactReference:
                 d = ulp_distance(got, want, Precision.BINARY32)
                 assert d is not None and d <= 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_quotient_beyond_binary32_rounds_without_warning(self):
+        q = exact_reciprocal_scale(1, 2.0**-140, Precision.BINARY32)
+        assert q == np.complex64(complex(math.inf, 0.0))
+
     def test_extreme_quotient_binary64(self):
         q = exact_reciprocal_scale(
             complex(1, 0), complex(2.0**-1000, 0), Precision.BINARY64

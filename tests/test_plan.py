@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crscl import CaseTag, Precision, ScaleStep, StepKind, compute_uv, fp_env, reciprocal_plan
+from crscl.oracle import _uv_chain_dirty
 
 ENV32 = fp_env(Precision.BINARY32)
 ENV64 = fp_env(Precision.BINARY64)
@@ -113,6 +114,52 @@ class TestSpecialOperands:
         plan = reciprocal_plan(complex(math.inf, -math.inf), ENV32)
         assert plan.case is CaseTag.FULL_INF_OPERAND
         assert any(np.isnan(s.re) or np.isnan(s.im) for s in plan.steps)
+
+
+# One denominator per case, as (binary32 parts, binary64 parts).
+CASE_DENOMINATORS = {
+    CaseTag.REAL_DENOMINATOR: ((4.0, 0.0), (4.0, 0.0)),
+    CaseTag.IMAGINARY_DENOMINATOR: ((0.0, 2.0), (0.0, 2.0)),
+    CaseTag.FULL_SAFE: ((3.0, -7.0), (3.0, -7.0)),
+    CaseTag.FULL_SMALL: ((3 * 2.0**-132, 2.0**-130), (3 * 2.0**-1028, 2.0**-1026)),
+    CaseTag.FULL_INF_OPERAND: ((math.inf, 3.0), (math.inf, 3.0)),
+    CaseTag.FULL_INF_RESCUE: ((2.0**127, 3 * 2.0**126), (2.0**1023, 3 * 2.0**1022)),
+    CaseTag.FULL_LARGE: ((2.0**126, 3 * 2.0**124), (2.0**1022, 3 * 2.0**1020)),
+}
+
+
+@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("case", list(CASE_DENOMINATORS), ids=lambda c: c.value)
+def test_plan_chain_is_the_rounded_uv_chain(env, case):
+    parts32, parts64 = CASE_DENOMINATORS[case]
+    ar, ai = (env.ftype(v) for v in (parts32 if env is ENV32 else parts64))
+    plan = reciprocal_plan(complex(ar, ai), env)
+    assert plan.case is case
+    if case in (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR):
+        assert plan.chain == ()
+        return
+    with np.errstate(all="ignore"):
+        r1 = ai / ar
+        t1 = ai * r1
+        ur = ar + t1
+        r2 = ar / ai
+        t2 = ar * r2
+        ui = ai + t2
+    expected = (r1, t1, ur, r2, t2, ui)
+    assert [type(v) for v in plan.chain] == [env.ftype] * 6
+    assert [v.tobytes() for v in plan.chain] == [v.tobytes() for v in expected]
+
+
+def test_uv_chain_dirty_reads_the_plan_chain():
+    # First FULL_SMALL denominator of the binary32 tiny profile at seed 0:
+    # t1 = ai*r1 is subnormal and inexact (the paper's Remark 1).
+    remark1 = complex(float.fromhex("0x1.044p-139"), float.fromhex("0x1.dp-140"))
+    # Parts in a power-of-two ratio: every subnormal intermediate is exact.
+    exact = complex(2.0**-130, 2.0**-131)
+    for a, dirty in ((remark1, True), (exact, False)):
+        plan = reciprocal_plan(a, ENV32)
+        assert plan.case is CaseTag.FULL_SMALL
+        assert _uv_chain_dirty(plan, a, ENV32) is dirty
 
 
 def test_compute_uv_formula():
