@@ -333,18 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="crscl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, formats=("text", "json"), seed=True):
         sp.add_argument("--precision", choices=["binary32", "binary64"], default="binary32")
-        sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write the report to this path")
-        sp.add_argument("--seed", type=int, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("reproduce-issues", help="re-run the two LU issue matrices")
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_reproduce_issues)
 
     sp = sub.add_parser("stress", help="differential bound-conformance sweep")
-    common(sp)
+    common(sp, formats=("text", "json", "csv"))
     sp.add_argument("--profile", default="safe", choices=[n.value for n in ProfileName])
     sp.add_argument("--count", type=int, default=10_000)
     sp.add_argument("--engine", action="append",
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("scale", help="scale a vector file by 1/a")
-    common(sp)
+    common(sp, formats=(), seed=False)
     sp.add_argument("--in", dest="infile", required=True, help="input vector file")
     sp.add_argument("--denom", nargs=2, required=True, metavar=("RE", "IM"),
                     help="denominator parts, hex-float or decimal")

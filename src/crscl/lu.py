@@ -15,12 +15,12 @@ import numpy as np
 
 from .fpenv import FpEnv, Precision, fp_env
 from .vector import (
+    QUOTIENT,
     Division,
     StridedVector,
     crscl,
+    naive_div_scale,
     scal_complex,
-    smith_quotient,
-    textbook_quotient,
 )
 
 
@@ -123,7 +123,6 @@ def getf2_naive(
     """LAPACK 3.11-style variant: scale by an explicitly divided reciprocal
     when |pivot| >= sfmin, else divide each entry by the pivot."""
     env = env or fp_env(a_in.precision)
-    quotient = smith_quotient if division is Division.SMITH else textbook_quotient
     one = env.ftype(1.0)
     zero = env.ftype(0.0)
 
@@ -134,13 +133,10 @@ def getf2_naive(
         with np.errstate(all="ignore"):
             # Overflow-free modulus, like the Fortran complex ABS.
             if np.hypot(pr, pi) >= env.sfmin:
-                rr, ri = quotient(one, zero, pr, pi)
+                rr, ri = QUOTIENT[division](one, zero, pr, pi)
                 scal_complex(sub, rr, ri)
             else:
-                v = sub.view()
-                qr, qi = quotient(v.real.copy(), v.imag.copy(), pr, pi)
-                v.real = qr
-                v.imag = qi
+                naive_div_scale(sub, (pr, pi), division, env)
 
     return _factor(a_in, env, scale)
 

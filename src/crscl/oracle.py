@@ -179,7 +179,9 @@ def ulp_distance(p, q, precision: Precision):
     None (incomparable) for NaNs or operands of opposite nonzero sign.
     """
     f = precision.ftype
-    d = int(_ulp_distance_array(np.array([p], f), np.array([q], f), precision)[0])
+    with np.errstate(over="ignore"):
+        p, q = np.array([p], f), np.array([q], f)
+    d = int(_ulp_distance_array(p, q, precision)[0])
     return None if d < 0 else d
 
 

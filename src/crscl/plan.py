@@ -50,6 +50,20 @@ class ScaleStep:
         return cls(StepKind.COMPLEX_FACTOR, re, im)
 
 
+@dataclass
+class FlopCounter:
+    real_mul: int = 0
+    real_add: int = 0
+    real_div: int = 0
+    complex_div: int = 0
+
+    def add(self, other: "FlopCounter") -> None:
+        self.real_mul += other.real_mul
+        self.real_add += other.real_add
+        self.real_div += other.real_div
+        self.complex_div += other.complex_div
+
+
 @dataclass(frozen=True)
 class ScalePlan:
     """`chain` is the (r1, t1, ur, r2, t2, ui) of `_uv_chain` when both
@@ -59,6 +73,17 @@ class ScalePlan:
     case: CaseTag
     division_count: int
     chain: tuple = ()
+
+    def cost(self, n: int) -> FlopCounter:
+        """Real operations of building the plan and applying it to n
+        elements: 2 multiplies per element for a real or imaginary step,
+        4 multiplies and 2 adds for a complex one."""
+        complex_steps = sum(s.kind is StepKind.COMPLEX_FACTOR for s in self.steps)
+        return FlopCounter(
+            real_mul=2 * n * (len(self.steps) + complex_steps),
+            real_add=2 * n * complex_steps,
+            real_div=self.division_count,
+        )
 
 
 def as_parts(a, env: FpEnv):

@@ -2,7 +2,8 @@
 
 All kernels follow BLAS SCAL calling conventions: they mutate the
 addressed elements of a caller-owned buffer and never touch anything
-else.  Flop counters are optional and cost nothing when absent.
+else.  Only `crscl`, `rscl` and `naive_div_scale` take a `FlopCounter`,
+which they fill from the cost of what ran: `ScalePlan.cost` or `_NAIVE_COST`.
 
 One kernel, `_scale`, applies a sequence of steps (a plan, or the one
 step of `scal_real`, `scal_imaginary`, `scal_complex`, `apply_step`, or
@@ -42,6 +43,8 @@ import numpy as np
 
 from .fpenv import FpEnv, fp_env, Precision
 from .plan import (
+    CaseTag,
+    FlopCounter,
     ScalePlan,
     ScaleStep,
     StepKind,
@@ -60,18 +63,6 @@ BLOCK = 1 << 14
 class Division(enum.Enum):
     SMITH = "smith"
     TEXTBOOK = "textbook"
-
-
-@dataclass
-class FlopCounter:
-    real_mul: int = 0
-    real_add: int = 0
-    real_div: int = 0
-    complex_mul: int = 0
-    complex_div: int = 0
-
-    def total_real_ops(self) -> int:
-        return self.real_mul + self.real_add + self.real_div
 
 
 @dataclass
@@ -114,16 +105,9 @@ def _work_dtype(part: np.dtype, steps) -> np.dtype:
     return part
 
 
-def _scale(x: StridedVector, steps, counter: FlopCounter | None) -> None:
+def _scale(x: StridedVector, steps) -> None:
     """Apply every step to each block in turn; the caller holds np.errstate."""
     n = x.n
-    if counter is not None:
-        for s in steps:
-            if s.kind is StepKind.COMPLEX_FACTOR:
-                counter.real_mul += 4 * n
-                counter.real_add += 2 * n
-            else:
-                counter.real_mul += 2 * n
     if n == 0:
         return
     v = x.view()
@@ -168,51 +152,51 @@ def _scale(x: StridedVector, steps, counter: FlopCounter | None) -> None:
             np.copyto(blk, stage)
 
 
-def apply_plan(x: StridedVector, plan: ScalePlan, counter: FlopCounter | None = None) -> None:
+def apply_plan(x: StridedVector, plan: ScalePlan) -> None:
     with np.errstate(all="ignore"):
-        _scale(x, plan.steps, counter)
+        _scale(x, plan.steps)
 
 
-def apply_step(x: StridedVector, step: ScaleStep, counter: FlopCounter | None = None) -> None:
+def apply_step(x: StridedVector, step: ScaleStep) -> None:
     with np.errstate(all="ignore"):
-        _scale(x, (step,), counter)
+        _scale(x, (step,))
 
 
-def scal_real(x: StridedVector, c, counter: FlopCounter | None = None) -> None:
+def scal_real(x: StridedVector, c) -> None:
     """(re, im) <- (re*c, im*c) for each addressed element."""
-    apply_step(x, ScaleStep.real(c), counter)
+    apply_step(x, ScaleStep.real(c))
 
 
-def scal_imaginary(x: StridedVector, t, counter: FlopCounter | None = None) -> None:
+def scal_imaginary(x: StridedVector, t) -> None:
     """Multiply each addressed element by (0 + t*i): (re, im) <- (-im*t, re*t).
 
     No zero products are formed, so a finite*infinite element never turns
     into NaN here, unlike a generic complex multiply by (0, t).
     """
-    apply_step(x, ScaleStep.imaginary(t), counter)
+    apply_step(x, ScaleStep.imaginary(t))
 
 
-def scal_complex(x: StridedVector, cr, ci, counter: FlopCounter | None = None) -> None:
+def scal_complex(x: StridedVector, cr, ci) -> None:
     """Conventional 4-multiply/2-add complex product with (cr + ci*i)."""
-    apply_step(x, ScaleStep.complex_(cr, ci), counter)
+    apply_step(x, ScaleStep.complex_(cr, ci))
 
 
 def rscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -> None:
     """Scale x by the reciprocal of the real number a."""
     with np.errstate(all="ignore"):
         steps, divs = _axis_steps(env.ftype(a), env, ScaleStep.real)
-        _scale(x, steps, counter)
+        _scale(x, steps)
     if counter is not None:
-        counter.real_div += divs
+        counter.add(ScalePlan(steps, CaseTag.REAL_DENOMINATOR, divs).cost(x.n))
 
 
 def crscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -> ScalePlan:
     """Scale x by the reciprocal of the complex number a, without complex
     division and with at most four real divisions."""
     plan = reciprocal_plan(a, env)
+    apply_plan(x, plan)
     if counter is not None:
-        counter.real_div += plan.division_count
-    apply_plan(x, plan, counter)
+        counter.add(plan.cost(x.n))
     return plan
 
 
@@ -239,12 +223,11 @@ def textbook_quotient(nr, ni, dr, di):
         return (nr * dr + ni * di) / den, (ni * dr - nr * di) / den
 
 
-# Per-element real-op cost of one naive division, for flop accounting:
-# Smith needs r, den and two quotients; textbook squares the denominator.
-_NAIVE_COST = {
-    Division.SMITH: dict(real_mul=3, real_add=3, real_div=3),
-    Division.TEXTBOOK: dict(real_mul=6, real_add=3, real_div=2),
-}
+QUOTIENT = {Division.SMITH: smith_quotient, Division.TEXTBOOK: textbook_quotient}
+
+# Per-element (real_mul, real_add, real_div) of one naive division: Smith
+# needs r, den and two quotients; textbook squares the denominator.
+_NAIVE_COST = {Division.SMITH: (3, 3, 3), Division.TEXTBOOK: (6, 3, 2)}
 
 
 def naive_div_scale(
@@ -262,18 +245,9 @@ def naive_div_scale(
     dr, di = as_parts(a, env)
     v = x.view()
     with np.errstate(all="ignore"):
-        nr = v.real.copy()
-        ni = v.imag.copy()
-        if division is Division.SMITH:
-            qr, qi = smith_quotient(nr, ni, dr, di)
-        else:
-            qr, qi = textbook_quotient(nr, ni, dr, di)
-        v.real = qr
-        v.imag = qi
+        # Both quotient parts are formed before either is written back.
+        v.real, v.imag = QUOTIENT[division](v.real, v.imag, dr, di)
     if counter is not None:
         n = x.n
-        cost = _NAIVE_COST[division]
-        counter.real_mul += cost["real_mul"] * n
-        counter.real_add += cost["real_add"] * n
-        counter.real_div += cost["real_div"] * n
-        counter.complex_div += n
+        mul, add, div = _NAIVE_COST[division]
+        counter.add(FlopCounter(mul * n, add * n, div * n, n))

@@ -173,6 +173,27 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path, argv):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scale", "--in", "{vec}", "--denom", "1", "0", "--format", "text"), "unrecognized arguments"),
+        (("scale", "--in", "{vec}", "--denom", "1", "0", "--format", "json"), "unrecognized arguments"),
+        (("scale", "--in", "{vec}", "--denom", "1", "0", "--format", "csv"), "unrecognized arguments"),
+        (("scale", "--in", "{vec}", "--denom", "1", "0", "--seed", "3"), "unrecognized arguments"),
+        (("reproduce-issues", "--seed", "3"), "unrecognized arguments"),
+        (("reproduce-issues", "--format", "csv"), "invalid choice"),
+        (("bench", "--format", "csv"), "invalid choice"),
+    ],
+)
+def test_ignored_options_are_rejected(capsys, tmp_path, argv, message):
+    vec = tmp_path / "v.txt"
+    vec.write_text("1.0 1.0\n")
+    code, out, err = run(capsys, *(a.format(vec=vec) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestBench:
     def test_emits_valid_json(self, capsys, monkeypatch):
         import crscl.cli as cli

@@ -8,6 +8,8 @@ from crscl import (
     Division,
     FlopCounter,
     Precision,
+    ScalePlan,
+    ScaleStep,
     StepKind,
     StridedVector,
     crscl,
@@ -56,9 +58,9 @@ class TestStridedVector:
 class TestKernels:
     def test_scal_real(self):
         x = cvec([1 + 2j, -3 + 4j])
-        c = FlopCounter()
-        scal_real(StridedVector.wrap(x), np.float32(0.5), c)
+        scal_real(StridedVector.wrap(x), np.float32(0.5))
         assert list(x) == [0.5 + 1j, -1.5 + 2j]
+        c = ScalePlan((ScaleStep.real(np.float32(0.5)),), CaseTag.REAL_DENOMINATOR, 0).cost(len(x))
         assert c.real_mul == 4 and c.real_add == 0
 
     def test_scal_imaginary(self):
@@ -76,9 +78,9 @@ class TestKernels:
 
     def test_scal_complex(self):
         x = cvec([2 + 1j], ENV64)
-        c = FlopCounter()
-        scal_complex(StridedVector.wrap(x), 3.0, -2.0, c)
+        scal_complex(StridedVector.wrap(x), 3.0, -2.0)
         assert x[0] == complex(2 + 1j) * complex(3, -2)
+        c = ScalePlan((ScaleStep.complex_(3.0, -2.0),), CaseTag.FULL_SAFE, 0).cost(len(x))
         assert c.real_mul == 4 and c.real_add == 2
 
 

@@ -14,6 +14,7 @@ from crscl import (
     paper_issue_matrices,
 )
 from crscl.lu import permuted, _unpack
+from crscl.vector import smith_quotient, textbook_quotient
 
 
 def random_matrix(rng, n, precision=Precision.BINARY32):
@@ -71,6 +72,32 @@ class TestFactorizationBasics:
         before = m.data.copy()
         getf2(m)
         assert np.array_equal(m.data, before)
+
+
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+def test_naive_tiny_pivot_divides_each_entry(precision, division):
+    # |pivot| < sfmin: getf2_naive divides every subcolumn entry by the
+    # pivot instead of scaling by its reciprocal.  Textbook division
+    # squares the pivot to zero, so its column is all NaN.  One column, so
+    # no later interchange reorders the result.
+    env = fp_env(precision)
+    f, s = env.ftype, env.sfmin
+    column = [0.75 + 0.5j, 0.3 - 0.2j, -0.45 + 0.1j, 0.0, 0.7j, -1 / 3 + 0.6j]
+    m = DenseMatrix.from_rows([[c] for c in column], precision)
+    m.data *= s
+    pr, pi = f(m.data[0, 0].real), f(m.data[0, 0].imag)
+    assert np.hypot(pr, pi) < s
+    quotient = {Division.SMITH: smith_quotient, Division.TEXTBOOK: textbook_quotient}[division]
+    expected = np.array(
+        [complex(*quotient(f(e.real), f(e.imag), pr, pi)) for e in m.data[1:, 0]],
+        dtype=precision.ctype,
+    )
+    r = getf2_naive(m, env, division)
+    assert r.ipiv[0] == 1
+    got = np.ascontiguousarray(r.lu.data[1:, 0])
+    bits = np.uint32 if precision is Precision.BINARY32 else np.uint64
+    assert np.array_equal(got.view(bits), expected.view(bits))
 
 
 class TestBackwardError:

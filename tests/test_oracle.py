@@ -52,6 +52,12 @@ class TestUlpDistance:
     def test_binary64(self):
         assert ulp_distance(1.0, 1.0 + 2.0**-52, Precision.BINARY64) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_operand_beyond_range_is_quiet(self):
+        # 1e300 rounds to +inf in binary32: the distance is +inf's bits
+        # minus 1.0's.
+        assert ulp_distance(1e300, 1.0, Precision.BINARY32) == 0x7F800000 - 0x3F800000
+
 
 class TestRelativeError:
     def test_zero_error(self):
