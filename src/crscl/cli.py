@@ -37,6 +37,7 @@ from .oracle import (
     error_report,
 )
 from .vector import (
+    _NAIVE_COST,
     Division,
     FlopCounter,
     StridedVector,
@@ -214,9 +215,8 @@ _BENCH_SIZES = (100, 10_000, 1_000_000)
 _BENCH_REPS = 15
 
 
-def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, float]:
-    """Median ns/element and measured flops/element over the repetitions."""
-    n = len(x0)
+def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, FlopCounter]:
+    """Median ns/element and the FlopCounter summed over the repetitions."""
     times = []
     counter = FlopCounter()
     for _ in range(_BENCH_REPS):
@@ -228,11 +228,19 @@ def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, float]
         else:
             naive_div_scale(sv, a, NAIVE_DIVISION[engine], env, counter)
         times.append(time.perf_counter() - t0)
-    med = statistics.median(times)
-    if n == 0:
-        return float("nan"), 0.0
-    per_elem_ops = (counter.real_mul + counter.real_add) / (_BENCH_REPS * n)
-    return med / n * 1e9, per_elem_ops
+    return statistics.median(times) / len(x0) * 1e9, counter
+
+
+# Per-element costs of the naive engines, from the counts they report.
+_BENCH_CLAIM = (
+    "reciprocal scaling: 6 flops/element in the safe case (8 when scaled) "
+    "and at most 4 divisions per call; naive per-element division: "
+    + ", ".join(
+        "{} {} mul + {} add + {} div".format(e.value, *_NAIVE_COST[d])
+        for e, d in NAIVE_DIVISION.items()
+    )
+    + " per element"
+)
 
 
 def cmd_bench(args) -> int:
@@ -248,26 +256,27 @@ def cmd_bench(args) -> int:
         x0.real = re
         x0.imag = im
         for engine in Engine:
-            ns_per_elem, flops = _bench_engine(engine, x0, a, env)
+            ns_per_elem, counter = _bench_engine(engine, x0, a, env)
+            elems = _BENCH_REPS * n
+            mul, add, div = (c / elems for c in (counter.real_mul, counter.real_add, counter.real_div))
             rows.append(
                 {
                     "n": n,
                     "engine": engine.value,
-                    "ns_per_element": None if n == 0 else round(ns_per_elem, 3),
-                    "flops_per_element": flops,
+                    "ns_per_element": round(ns_per_elem, 3),
+                    "real_mul": mul,
+                    "real_add": add,
+                    "real_div": div,
+                    "flops_per_element": mul + add,
                 }
             )
-    claim = (
-        "reciprocal scaling: 6 flops/element in the safe case (8 when scaled); "
-        "naive per-element division: >= 13 operations including two divisions"
-    )
     if args.format == "json":
         _emit(
             json.dumps(
                 {
                     "command": "bench",
                     "precision": precision.value,
-                    "comparison": claim,
+                    "comparison": _BENCH_CLAIM,
                     "rows": rows,
                 },
                 indent=2,
@@ -276,12 +285,12 @@ def cmd_bench(args) -> int:
             args,
         )
     else:
-        lines = [claim]
+        lines = [_BENCH_CLAIM]
         for r in rows:
-            ns = "n/a" if r["ns_per_element"] is None else f"{r['ns_per_element']}"
             lines.append(
-                f"n={r['n']:>8} {r['engine']:<15} ns/element={ns:>10} "
-                f"flops/element={r['flops_per_element']:.1f}"
+                f"n={r['n']:>8} {r['engine']:<15} ns/element={r['ns_per_element']:>10} "
+                f"flops/element={r['flops_per_element']:.1f} "
+                f"mul/add/div per element={r['real_mul']:g}/{r['real_add']:g}/{r['real_div']:.3g}"
             )
         _emit("\n".join(lines) + "\n", args)
     return 0

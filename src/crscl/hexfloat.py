@@ -1,4 +1,4 @@
-"""Bit-exact text formats: hex-float scalars, vector files, matrix files.
+"""Bit-exact text formats: hex-float scalars and vector files.
 
 Machine-readable output is always hex-float so extreme-exponent values
 round-trip exactly; decimal is accepted on input.
@@ -57,28 +57,20 @@ def parse_real(s: str, precision: Precision):
     return precision.ftype(x)
 
 
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_pair(line: str, lineno: int, precision: Precision):
-    parts = line.split()
-    if len(parts) != 2:
-        raise FormatError("expected two fields: re im", lineno)
-    try:
-        return parse_real(parts[0], precision), parse_real(parts[1], precision)
-    except FormatError as e:
-        raise FormatError(str(e), lineno) from None
-
-
 def read_vector(text: str, precision: Precision) -> np.ndarray:
     """One element per line, "re im"; blank lines and # comments ignored."""
     out = []
-    for lineno, line in _data_lines(text):
-        re, im = _parse_pair(line, lineno, precision)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError("expected two fields: re im", lineno)
+        try:
+            re, im = parse_real(parts[0], precision), parse_real(parts[1], precision)
+        except FormatError as e:
+            raise FormatError(str(e), lineno) from None
         out.append(complex(float(re), float(im)))
     return np.array(out, dtype=precision.ctype)
 
@@ -87,37 +79,3 @@ def write_vector(x: np.ndarray) -> str:
     lines = [format_complex_hex(v.real, v.imag) for v in x]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def read_matrix(text: str):
-    """Header "m n precision", then m*n lines "re im", column-major."""
-    lines = list(_data_lines(text))
-    if not lines:
-        raise FormatError("empty matrix file")
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 3:
-        raise FormatError("expected header: m n precision", lineno)
-    try:
-        m, n = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise FormatError("bad dimensions in header", lineno) from None
-    precision = Precision.parse(fields[2])
-    if m < 1 or n < 1:
-        raise FormatError("dimensions must be positive", lineno)
-    if len(lines) - 1 != m * n:
-        raise FormatError(f"expected {m * n} entries, found {len(lines) - 1}")
-    data = np.zeros((m, n), dtype=precision.ctype, order="F")
-    for k, (lno, line) in enumerate(lines[1:]):
-        re, im = _parse_pair(line, lno, precision)
-        data[k % m, k // m] = complex(float(re), float(im))
-    return data, precision
-
-
-def write_matrix(a: np.ndarray, precision: Precision) -> str:
-    m, n = a.shape
-    lines = [f"{m} {n} {precision.value}"]
-    for j in range(n):
-        for i in range(m):
-            v = a[i, j]
-            lines.append(format_complex_hex(v.real, v.imag))
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fpenv import FpEnv, Precision, fp_env, gamma
-from .plan import CaseTag, as_parts, reciprocal_plan
+from .plan import CaseTag, reciprocal_plan
 from .vector import (
     Division,
     StridedVector,
@@ -63,8 +63,6 @@ class ErrorReport:
     violations: int = 0
     max_rel_err: float = 0.0
     bound: float = 0.0
-    max_ulp_re: int = 0
-    max_ulp_im: int = 0
     case_histogram: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
@@ -251,7 +249,7 @@ def _draw_denominator(rng, name: ProfileName, env: FpEnv, lim):
         big = _draw(rng, f, 3 * emax // 4, emax - 1)
         return (small, big) if rng.integers(0, 2) else (big, small)
     if name is ProfileName.TINY_DENOMINATOR:
-        # Balanced parts well below sfmin, so |ur| (or |ui|) < sfmin holds.
+        # Balanced parts well below sfmin, so the plan is FULL_SMALL.
         e0 = int(rng.integers(emin_s + 4, emin_n - 7))
         d = int(rng.integers(-1, 2))
         s0 = -1.0 if rng.integers(0, 2) else 1.0
@@ -319,28 +317,6 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 _AXIS_CASES = (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
 
 
-def _uv_chain_dirty(plan, a, env: FpEnv) -> bool:
-    """True when the plan's ur/ui chain rounded inexactly in the subnormal
-    range.
-
-    The gamma-style bounds assume the standard rounding model, which does
-    not hold for subnormal results; a subnormal intermediate is harmless
-    only when it is exact.  Exactness is checked against a binary64
-    recomputation of the same chain.  In binary64 that recomputation
-    repeats the plan's own arithmetic, so the check cannot fire there.
-    """
-    if not plan.chain:
-        return False
-    ar, ai = (float(p) for p in as_parts(a, env))
-    sfmin = float(env.sfmin)
-    if min(abs(ar), abs(ai)) >= sfmin:
-        return False
-    w1 = ai / ar
-    w2 = ar / ai
-    wide = (w1, ai * w1, ar + ai * w1, w2, ar * w2, ai + ar * w2)
-    return any(0 < abs(float(v)) < sfmin and float(v) != w for v, w in zip(plan.chain, wide))
-
-
 def _plan_factors_finite(plan) -> bool:
     for s in plan.steps:
         if not (np.isfinite(s.re) and np.isfinite(s.im)):
@@ -403,7 +379,7 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             x_zero = (x.real == 0) & (x.imag == 0)
             x_bad = ~(np.isfinite(x.real) & np.isfinite(x.imag))
             exclude = x_zero | x_bad | ~finite_exact | (mod < min_normal) | bad_mid
-            if not _plan_factors_finite(plan) or _uv_chain_dirty(plan, a, env):
+            if not _plan_factors_finite(plan):
                 exclude |= True
             if axis:
                 for part in (ex_re, ex_im):
@@ -434,18 +410,6 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
                 rep.violations += nviol
                 _record_failures(rep, a, x, y, exact, err, viol, precision)
 
-            # ULP statistics against the once-rounded reference.
-            ex_t_re = ex_re.astype(precision.ftype)
-            ex_t_im = ex_im.astype(precision.ftype)
-            d_re = _ulp_distance_array(y.real, ex_t_re, precision)
-            d_im = _ulp_distance_array(y.imag, ex_t_im, precision)
-            d_re = np.where(included, d_re, -1)
-            d_im = np.where(included, d_im, -1)
-            rep.max_ulp_re = max(rep.max_ulp_re, int(np.max(d_re, initial=-1)))
-            rep.max_ulp_im = max(rep.max_ulp_im, int(np.max(d_im, initial=-1)))
-
-    rep.max_ulp_re = max(rep.max_ulp_re, 0)
-    rep.max_ulp_im = max(rep.max_ulp_im, 0)
     rep.case_histogram = {tag.value: c for tag, c in hist.items() if c}
     return rep
 

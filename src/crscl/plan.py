@@ -66,13 +66,9 @@ class FlopCounter:
 
 @dataclass(frozen=True)
 class ScalePlan:
-    """`chain` is the (r1, t1, ur, r2, t2, ui) of `_uv_chain` when both
-    parts of the denominator are nonzero, () for the axis cases."""
-
     steps: tuple
     case: CaseTag
     division_count: int
-    chain: tuple = ()
 
     def cost(self, n: int) -> FlopCounter:
         """Real operations of building the plan and applying it to n
@@ -111,20 +107,18 @@ def compute_uv(a, env: FpEnv):
     must be nonzero; zero-part denominators are routed elsewhere.
     """
     with np.errstate(all="ignore"):
-        chain = _uv_chain(*_as_parts(a, env))
-    return chain[2], chain[5]
+        _, ur, _, ui = _uv_chain(*_as_parts(a, env))
+    return ur, ui
 
 
 def _uv_chain(ar, ai):
-    """r1 = ai/ar, t1 = ai*r1, ur = ar + t1, r2 = ar/ai, t2 = ar*r2 and
-    ui = ai + t2, each rounded to the working precision."""
+    """(r1, ur, r2, ui): r1 = ai/ar, ur = ar + ai*r1, r2 = ar/ai and
+    ui = ai + ar*r2, each operation rounded to the working precision."""
     # The parenthesization is load-bearing: it decides where NaN and
     # infinity appear for extreme operands.
     r1 = ai / ar
-    t1 = ai * r1
     r2 = ar / ai
-    t2 = ar * r2
-    return r1, t1, ar + t1, r2, t2, ai + t2
+    return r1, ar + ai * r1, r2, ai + ar * r2
 
 
 def _axis_steps(v, env: FpEnv, make):
@@ -167,17 +161,24 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
             steps, divs = _axis_steps(ai, env, lambda x: ScaleStep.imaginary(-x))
             return ScalePlan(steps, CaseTag.IMAGINARY_DENOMINATOR, divs)
 
-        r1, _, ur, r2, _, ui = chain = _uv_chain(ar, ai)
         sfmin = env.sfmin
+        if abs(ar) < sfmin and abs(ai) < sfmin:
+            # Both parts below sfmin.  Built from these parts, the chain can
+            # round inexactly in the subnormal range (the paper's Remark 1).
+            # Scaled by inv_sfmin, a power of two, the parts are exact and
+            # every operand and result of the chain is normal; the second
+            # step multiplies inv_sfmin back in.
+            inv_sfmin = env.inv_sfmin
+            _, ur, _, ui = _uv_chain(ar * inv_sfmin, ai * inv_sfmin)
+            steps = (ScaleStep.complex_(one / ur, neg / ui), ScaleStep.real(inv_sfmin))
+            return ScalePlan(steps, CaseTag.FULL_SMALL, 4)
+
+        # With a part of at least sfmin, rounding keeps |ur| and |ui| at
+        # least sfmin too, so only the large end of the range is left.
+        r1, ur, r2, ui = _uv_chain(ar, ai)
         if safe_range(ur, env) and safe_range(ui, env):
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
             tag = CaseTag.FULL_SAFE
-        elif abs(ur) < sfmin or abs(ui) < sfmin:
-            steps = (
-                ScaleStep.complex_(sfmin / ur, -(sfmin / ui)),
-                ScaleStep.real(env.inv_sfmin),
-            )
-            tag = CaseTag.FULL_SMALL
         elif np.isinf(ar) or np.isinf(ai):
             # ur/ui are both infinite or both NaN; apply them directly so
             # infinities map to zero factors and NaNs propagate.
@@ -204,4 +205,4 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
             # ur or ui is NaN with finite a (a NaN part): propagate.
             steps = (ScaleStep.complex_(one / ur, neg / ui),)
             tag = CaseTag.FULL_SAFE
-        return ScalePlan(steps, tag, 4, chain)
+        return ScalePlan(steps, tag, 4)

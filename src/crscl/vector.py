@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpenv import FpEnv, fp_env, Precision
+from .fpenv import FpEnv
 from .plan import (
     CaseTag,
     FlopCounter,
@@ -234,14 +234,11 @@ def naive_div_scale(
     x: StridedVector,
     a,
     division: Division,
-    env: FpEnv | None = None,
+    env: FpEnv,
     counter: FlopCounter | None = None,
 ) -> None:
     """Reference engine: divide each element by a, one complex division per
     element, using the selected division algorithm."""
-    if env is None:
-        precision = Precision.BINARY32 if x.data.dtype == np.complex64 else Precision.BINARY64
-        env = fp_env(precision)
     dr, di = as_parts(a, env)
     v = x.view()
     with np.errstate(all="ignore"):

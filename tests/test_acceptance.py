@@ -354,4 +354,16 @@ def test_10_benchmark_report(tmp_path, capsys):
             for r in payload["rows"]
         )
     )
+    # Per-element operation counts, each from the engine's FlopCounter: the
+    # safe-case plan costs 4 mul + 2 add per element and 4 divisions per
+    # call; Smith and textbook division cost what the claim says.
+    naive_cost = {"naive_smith": (3, 3, 3), "naive_textbook": (6, 3, 2)}
+    for r in payload["rows"]:
+        counts = (r["real_mul"], r["real_add"], r["real_div"])
+        want = naive_cost.get(r["engine"], (4, 2, 4 / r["n"]))
+        ok = ok and counts == want and r["flops_per_element"] == counts[0] + counts[1]
+    ok = ok and all(
+        f"{engine} {mul} mul + {add} add + {div} div" in payload["comparison"]
+        for engine, (mul, add, div) in naive_cost.items()
+    )
     assert verdict("benchmark report completes with valid JSON at n=10^6", ok)

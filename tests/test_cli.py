@@ -206,6 +206,22 @@ class TestBench:
         assert "6 flops/element" in payload["comparison"]
         engines = {r["engine"] for r in payload["rows"]}
         assert engines == {"crscl", "naive_smith", "naive_textbook"}
+        for r in payload["rows"]:
+            assert r["flops_per_element"] == r["real_mul"] + r["real_add"]
+            if r["engine"] == "crscl":
+                assert (r["real_mul"], r["real_add"], r["real_div"] * r["n"]) == (4, 2, 4)
+        assert "naive_smith 3 mul + 3 add + 3 div" in payload["comparison"]
+        assert ">= 13" not in payload["comparison"]
+
+    def test_text_reports_each_count(self, capsys, monkeypatch):
+        import crscl.cli as cli
+        monkeypatch.setattr(cli, "_BENCH_SIZES", (64,))
+        monkeypatch.setattr(cli, "_BENCH_REPS", 2)
+        code, out, _ = run(capsys, "bench")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3
+        assert "naive_textbook" in rows[2] and "mul/add/div per element=6/3/2" in rows[2]
 
 
 class TestUsage:

@@ -9,9 +9,7 @@ from crscl.hexfloat import (
     format_complex_hex,
     format_hex,
     parse_real,
-    read_matrix,
     read_vector,
-    write_matrix,
     write_vector,
 )
 
@@ -50,6 +48,9 @@ class TestScalars:
         with pytest.raises(FormatError):
             parse_real("zz", Precision.BINARY32)
 
+    def test_complex_format(self):
+        assert format_complex_hex(1.0, -2.0) == "0x1.0000000000000p+0 -0x1.0000000000000p+1"
+
 
 class TestVectors:
     def test_round_trip(self):
@@ -71,23 +72,3 @@ class TestVectors:
         assert len(read_vector("", Precision.BINARY32)) == 0
         assert write_vector(np.array([], dtype=np.complex64)) == ""
 
-
-class TestMatrices:
-    def test_round_trip_column_major(self):
-        a = np.array([[1 + 1j, 2], [3, 4 - 2j]], dtype=np.complex64, order="F")
-        text = write_matrix(a, Precision.BINARY32)
-        back, prec = read_matrix(text)
-        assert prec is Precision.BINARY32
-        assert back.flags.f_contiguous
-        assert np.array_equal(back, a)
-
-    def test_header_errors(self):
-        with pytest.raises(FormatError):
-            read_matrix("")
-        with pytest.raises(FormatError):
-            read_matrix("2 2\n")
-        with pytest.raises(FormatError):
-            read_matrix("2 2 binary32\n1 0\n")  # wrong entry count
-
-    def test_complex_format(self):
-        assert format_complex_hex(1.0, -2.0) == "0x1.0000000000000p+0 -0x1.0000000000000p+1"

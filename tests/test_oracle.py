@@ -182,3 +182,14 @@ class TestErrorReport:
             Engine.CRSCL, CaseProfile(ProfileName.MIXED_EXTREME, seed=0, count=300), Precision.BINARY32
         )
         assert sum(rep.case_histogram.values()) == rep.samples
+
+    @pytest.mark.parametrize(
+        "name", [ProfileName.TINY_DENOMINATOR, ProfileName.SUBNORMAL_PARTS], ids=lambda n: n.value
+    )
+    def test_binary64_small_denominators_within_bound(self, name):
+        # Both parts below sfmin: the prescaled plan keeps the uv chain
+        # normal, so the bound holds with no chain-based exclusion.
+        rep = error_report(Engine.CRSCL, CaseProfile(name, seed=0, count=1000), Precision.BINARY64)
+        assert rep.violations == 0
+        assert rep.included > 0
+        assert rep.max_rel_err <= rep.bound

@@ -8,23 +8,34 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from crscl import Precision, StridedVector, fp_env
+from crscl import (
+    CaseProfile,
+    CaseTag,
+    Precision,
+    ProfileName,
+    StridedVector,
+    apply_plan,
+    fp_env,
+    gen_cases,
+    reciprocal_plan,
+)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer(monkeypatch):
+def load_perfbench(monkeypatch, name):
     # No bytecode cache, so loading leaves perfbench/ untouched.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_exist(monkeypatch):
-    tracer = load_tracer(monkeypatch)
+    tracer = load_perfbench(monkeypatch, "tracer")
     assert tracer.TARGETS
     for mod_name, fn_name, annotate in tracer.TARGETS:
         fn = getattr(importlib.import_module(f"crscl.{mod_name}"), fn_name, None)
@@ -49,3 +60,27 @@ def test_stream_reference_calls():
     smith, textbook = counters["naive_smith"], counters["naive_textbook"]
     assert (smith.real_mul, smith.real_add, smith.real_div, smith.complex_div) == (24, 24, 24, 8)
     assert (textbook.real_mul, textbook.real_add, textbook.real_div) == (48, 24, 16)
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+def test_full_small_plans_pass_the_rational_check(monkeypatch, precision):
+    # The benchmark's own Fraction check, element by element, on every
+    # FULL_SMALL plan of the profiles that make them: no element may break
+    # the bound, and enough elements must be checked to mean something.
+    exact = load_perfbench(monkeypatch, "exact")
+    fmt = exact.Format(precision.value)
+    env = fp_env(precision)
+    checked = 0
+    for name in (ProfileName.TINY_DENOMINATOR, ProfileName.SUBNORMAL_PARTS):
+        for a, x in gen_cases(CaseProfile(name, seed=3, count=150), precision):
+            plan = reciprocal_plan(a, env)
+            if plan.case is not CaseTag.FULL_SMALL:
+                continue
+            y = x.copy()
+            apply_plan(StridedVector.wrap(y), plan)
+            steps = exact.plan_steps(plan)
+            for xv, yv in zip(x, y):
+                verdict = exact.check_element(complex(xv), complex(yv), complex(a), steps, False, fmt)
+                assert verdict is None or verdict.startswith("skip:"), (a, xv, verdict)
+                checked += verdict is None
+    assert checked >= 100, checked

@@ -1,11 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crscl import CaseTag, Precision, ScaleStep, StepKind, compute_uv, fp_env, reciprocal_plan
-from crscl.oracle import _uv_chain_dirty
+from crscl import (
+    CaseTag,
+    Precision,
+    StepKind,
+    StridedVector,
+    compute_uv,
+    crscl,
+    fp_env,
+    gamma,
+    reciprocal_plan,
+)
 
 ENV32 = fp_env(Precision.BINARY32)
 ENV64 = fp_env(Precision.BINARY64)
@@ -128,16 +138,8 @@ CASE_DENOMINATORS = {
 }
 
 
-@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["binary32", "binary64"])
-@pytest.mark.parametrize("case", list(CASE_DENOMINATORS), ids=lambda c: c.value)
-def test_plan_chain_is_the_rounded_uv_chain(env, case):
-    parts32, parts64 = CASE_DENOMINATORS[case]
-    ar, ai = (env.ftype(v) for v in (parts32 if env is ENV32 else parts64))
-    plan = reciprocal_plan(complex(ar, ai), env)
-    assert plan.case is case
-    if case in (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR):
-        assert plan.chain == ()
-        return
+def _chain(ar, ai):
+    """The ur/ui chain one rounded operation at a time, as the paper writes it."""
     with np.errstate(all="ignore"):
         r1 = ai / ar
         t1 = ai * r1
@@ -145,21 +147,92 @@ def test_plan_chain_is_the_rounded_uv_chain(env, case):
         r2 = ar / ai
         t2 = ar * r2
         ui = ai + t2
-    expected = (r1, t1, ur, r2, t2, ui)
-    assert [type(v) for v in plan.chain] == [env.ftype] * 6
-    assert [v.tobytes() for v in plan.chain] == [v.tobytes() for v in expected]
+    return r1, t1, ur, r2, t2, ui
 
 
-def test_uv_chain_dirty_reads_the_plan_chain():
-    # First FULL_SMALL denominator of the binary32 tiny profile at seed 0:
-    # t1 = ai*r1 is subnormal and inexact (the paper's Remark 1).
-    remark1 = complex(float.fromhex("0x1.044p-139"), float.fromhex("0x1.dp-140"))
-    # Parts in a power-of-two ratio: every subnormal intermediate is exact.
-    exact = complex(2.0**-130, 2.0**-131)
-    for a, dirty in ((remark1, True), (exact, False)):
-        plan = reciprocal_plan(a, ENV32)
-        assert plan.case is CaseTag.FULL_SMALL
-        assert _uv_chain_dirty(plan, a, ENV32) is dirty
+def _expected_steps(case, ar, ai, env):
+    """(kind, re, im) of each step, built from the explicit chain."""
+    one, sfmin, inv_sfmin = env.ftype(1.0), env.sfmin, env.inv_sfmin
+    zero = env.ftype(0.0)
+    with np.errstate(all="ignore"):
+        if case is CaseTag.REAL_DENOMINATOR:
+            return [("real", one / ar, zero)]
+        if case is CaseTag.IMAGINARY_DENOMINATOR:
+            return [("imaginary", zero, -(one / ai))]
+        if case is CaseTag.FULL_SMALL:
+            _, _, ur, _, _, ui = _chain(ar * inv_sfmin, ai * inv_sfmin)
+            return [("complex", one / ur, -(one / ui)), ("real", inv_sfmin, zero)]
+        r1, _, ur, r2, _, ui = _chain(ar, ai)
+        if case is CaseTag.FULL_INF_RESCUE:
+            ur = sfmin * ar + ai * (sfmin * r1)
+            ui = sfmin * ai + ar * (sfmin * r2)
+            return [("real", sfmin, zero), ("complex", one / ur, -(one / ui))]
+        if case is CaseTag.FULL_LARGE:
+            return [("real", sfmin, zero), ("complex", one / (sfmin * ur), -(one / (sfmin * ui)))]
+        return [("complex", one / ur, -(one / ui))]
+
+
+@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("case", list(CASE_DENOMINATORS), ids=lambda c: c.value)
+def test_plan_chain_is_the_rounded_uv_chain(env, case):
+    """Every factor comes from the explicit chain (of the parts scaled by
+    inv_sfmin for FULL_SMALL), bit for bit and in the working type."""
+    parts32, parts64 = CASE_DENOMINATORS[case]
+    ar, ai = (env.ftype(v) for v in (parts32 if env is ENV32 else parts64))
+    plan = reciprocal_plan(complex(ar, ai), env)
+    assert plan.case is case
+    expected = _expected_steps(case, ar, ai, env)
+    got = [(s.kind.value, s.re, s.im) for s in plan.steps]
+    assert [type(v) for _, re, im in got for v in (re, im)] == [env.ftype] * 2 * len(got)
+    assert [(k, re.tobytes(), im.tobytes()) for k, re, im in got] == [
+        (k, re.tobytes(), im.tobytes()) for k, re, im in expected
+    ]
+
+
+# The first FULL_SMALL denominator of the binary32 tiny profile at seed 0,
+# whose unscaled t1 = ai*r1 is subnormal and inexact (the paper's Remark 1),
+# and one with parts in a power-of-two ratio, whose unscaled chain is exact.
+# The binary64 pair is the binary32 one times 2^-896.
+REMARK1 = (float.fromhex("0x1.044p-139"), float.fromhex("0x1.dp-140"))
+EXACT_CHAIN = (2.0**-130, 2.0**-131)
+
+
+@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["binary32", "binary64"])
+def test_full_small_prescale_on_remark1_denominators(env):
+    shift = 0 if env is ENV32 else -896
+    remark1, exact = (tuple(env.ftype(math.ldexp(v, shift)) for v in p) for p in (REMARK1, EXACT_CHAIN))
+
+    # Exact unscaled chain: the prescale leaves the factors' bits as they were.
+    ar, ai = exact
+    _, _, ur, _, _, ui = _chain(ar, ai)
+    plan = reciprocal_plan(complex(ar, ai), env)
+    assert plan.case is CaseTag.FULL_SMALL
+    s0, s1 = plan.steps
+    assert (s0.re.tobytes(), s0.im.tobytes()) == (
+        (env.sfmin / ur).tobytes(),
+        (-(env.sfmin / ui)).tobytes(),
+    )
+    assert (s1.kind, s1.re) == (StepKind.REAL_FACTOR, env.inv_sfmin)
+
+    # Remark 1: the unscaled chain rounds inexactly, the scaled plan does not.
+    ar, ai = remark1
+    r1, t1 = _chain(ar, ai)[:2]
+    assert Fraction(float(ai)) * Fraction(float(r1)) != Fraction(float(t1))
+    a = complex(ar, ai)
+    assert reciprocal_plan(a, env).case is CaseTag.FULL_SMALL
+    xs = [complex(2**-20, 2**-20), complex(2**-16, 0.0), complex(0.0, 2**-16),
+          complex(3.0**-14, -(5.0**-9)), complex(0.75 * 2**-14, 0.3 * 2**-14)]
+    x = np.array(xs, dtype=env.ctype)
+    y = x.copy()
+    crscl(StridedVector.wrap(y), a, env)
+    bound_sq = Fraction(math.sqrt(2.0) * gamma(6, env)) ** 2
+    far, fai = Fraction(float(ar)), Fraction(float(ai))
+    den = far * far + fai * fai
+    for xv, yv in zip(x, y):
+        xr, xi = Fraction(float(xv.real)), Fraction(float(xv.imag))
+        qr, qi = (xr * far + xi * fai) / den, (xi * far - xr * fai) / den
+        yr, yi = Fraction(float(yv.real)), Fraction(float(yv.imag))
+        assert (yr - qr) ** 2 + (yi - qi) ** 2 <= bound_sq * (qr * qr + qi * qi), (xv, yv)
 
 
 def test_compute_uv_formula():
