@@ -1,15 +1,34 @@
-"""The behavioural contract, pinned: sha256 of `stress --format json` stdout
-and its exit code for every profile in both precisions (seed 5, count 300).
+"""The behavioural contract, pinned as sha256 digests:
+- `stress --format json` stdout and its exit code for every profile in
+  both precisions (seed 5, count 300);
+- every plan and the crscl and rscl result bits over a corpus of
+  denominators in both precisions;
+- `reproduce-issues --format json` and `scale --explain` output.
 
 A change that alters these bits on purpose must say which plans changed
 and why, and update the digests here.
 """
 
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
+from crscl import (
+    CaseProfile,
+    Precision,
+    ProfileName,
+    StridedVector,
+    crscl,
+    fp_env,
+    gen_cases,
+    reciprocal_plan,
+    rscl,
+)
 from crscl.cli import main
+from crscl.oracle import _special_values
+from test_plan import CASE_DENOMINATORS
 
 STRESS_DIGESTS = {
     ("safe", "binary32"): (0, "e6f5b0273383a1ffb3345dda7160a245fd6e31721a7e25aeb1515da5f6b2dfee"),
@@ -37,3 +56,103 @@ def test_stress_json_digest(capsys, profile, precision):
     ])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STRESS_DIGESTS[profile, precision]
+
+
+# --------------------------------------------------------------------------
+# Plan and result bits
+# --------------------------------------------------------------------------
+
+# A fixed x for the special-value grid: ordinary, tiny, huge and zero parts.
+GRID_X = (1 + 1j, -0.75 + 2.5j, complex(2.0**-20, -(2.0**20)), complex(0.0, -3.0))
+
+
+def _plan_corpus(precision):
+    """(a, x) pairs: every profile's stream at seed 5 and count 300, then
+    the 15 x 15 grid of special parts against GRID_X."""
+    for name in ProfileName:
+        yield from gen_cases(CaseProfile(name, seed=5, count=300), precision)
+    env = fp_env(precision)
+    x = np.array(GRID_X, dtype=env.ctype)
+    grid = _special_values(env)
+    for re, im in itertools.product(grid, grid):
+        yield env.ctype(complex(re, im)), x
+
+
+def _plan_corpus_digest(precision):
+    env = fp_env(precision)
+    h = hashlib.sha256()
+    for a, x in _plan_corpus(precision):
+        plan = reciprocal_plan(a, env)
+        h.update(f"{plan.case.value} {plan.division_count}".encode())
+        for s in plan.steps:
+            h.update(s.kind.value.encode())
+            for v in (s.re, s.im):
+                v = np.asarray(v)
+                h.update(v.dtype.str.encode() + v.tobytes())
+        for scale, denom in ((crscl, a), (rscl, a.real)):
+            y = x.copy()
+            scale(StridedVector.wrap(y), denom, env)
+            h.update(y.tobytes())
+    return h.hexdigest()
+
+
+PLAN_DIGESTS = {
+    "binary32": "b3e36bd74b97b721f224433d1053fb416b0a98d7367107ed6d5d8721ac3d6bc1",
+    "binary64": "cc0440a701b05529359d137517ce835a7b0d8b0d744ea58d3e47bf6ab1841d49",
+}
+
+
+@pytest.mark.parametrize("precision", list(PLAN_DIGESTS))
+def test_plan_corpus_digest(precision):
+    # Each plan's case, division count, step kinds and factor bits, and
+    # the bits crscl and rscl leave in x.
+    assert _plan_corpus_digest(Precision(precision)) == PLAN_DIGESTS[precision]
+
+
+# --------------------------------------------------------------------------
+# reproduce-issues and scale --explain
+# --------------------------------------------------------------------------
+
+REPRODUCE_DIGESTS = {
+    "binary32": (0, "204217106567b18973161cc8c7e4ae4dc2dadb92c80fd14b286c11e4d2d68d79"),
+    "binary64": (0, "a563ab41ccd1750ebd64a757b17eb7ebd014d46d0ff7a631ce802322eb32eae4"),
+}
+
+
+@pytest.mark.parametrize("precision", list(REPRODUCE_DIGESTS))
+def test_reproduce_issues_json_digest(capsys, precision):
+    code = main(["reproduce-issues", "--format", "json", "--precision", precision])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == REPRODUCE_DIGESTS[precision]
+
+
+# One denominator per case tag, then a real axis below sfmin and an
+# imaginary axis above 1/sfmin, as (binary32 parts, binary64 parts).
+EXPLAIN_DENOMINATORS = [*CASE_DENOMINATORS.values()] + [
+    ((1.5 * 2.0**-140, 0.0), (1.5 * 2.0**-1060, 0.0)),
+    ((0.0, -1.5 * 2.0**127), (0.0, -1.5 * 2.0**1023)),
+]
+
+EXPLAIN_X = "0x1p+0 0x1p+0\n-0x1.8p-3 0x1p+20\n0x1p-20 -0x1.4p+4\n0 -0\n"
+
+SCALE_DIGESTS = {
+    "binary32": "0cb701699d6b6f0326f44a0c3345e5737982b6ebb93f0ab8850dc3ecaac6e8f5",
+    "binary64": "77027945882df718ec9463e5cf0a48d29e765bb64e5486372da673557094be0d",
+}
+
+
+@pytest.mark.parametrize("precision", list(SCALE_DIGESTS))
+def test_scale_explain_digest(capsys, tmp_path, precision):
+    # Exit code, stdout (the scaled vector) and stderr (case and steps) of
+    # `scale --explain` for every denominator.
+    src = tmp_path / "x.txt"
+    src.write_text(EXPLAIN_X)
+    h = hashlib.sha256()
+    for parts32, parts64 in EXPLAIN_DENOMINATORS:
+        parts = parts32 if precision == "binary32" else parts64
+        denom = [float(v).hex() for v in parts]
+        code = main(["scale", "--in", str(src), "--precision", precision, "--explain",
+                     "--denom", *denom])
+        out = capsys.readouterr()
+        h.update(f"{denom} {code}\n{out.out}{out.err}".encode())
+    assert h.hexdigest() == SCALE_DIGESTS[precision]

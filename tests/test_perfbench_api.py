@@ -84,3 +84,35 @@ def test_full_small_plans_pass_the_rational_check(monkeypatch, precision):
                 assert verdict is None or verdict.startswith("skip:"), (a, xv, verdict)
                 checked += verdict is None
     assert checked >= 100, checked
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # workloads.py puts its own directory on sys.path and imports its
+    # siblings under bare names; both are undone afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    try:
+        yield load_perfbench(monkeypatch, "workloads")
+    finally:
+        for name in ("exact", "layers", "tracer"):
+            if name not in before:
+                sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", ["Short", "Lu"])
+def test_workload_round_verifies(workloads, tmp_path, name, seed):
+    # One round of the workload's op list, each output checked by the
+    # benchmark's own verify: a failed check here is a failed benchmark op.
+    w = getattr(workloads, name)(seed, workloads._crscl_modules(), str(tmp_path), False)
+    notes = []
+    for i in range(len(w.ops)):
+        w.prepare(i)
+        ok, note = w.verify(i, w.run(i))
+        if not ok:
+            notes.append(note)
+    assert len(w.ops) > 0
+    assert notes == []
+    if name == "Short":
+        assert w.check_stats["checked"] > 0
