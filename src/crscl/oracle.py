@@ -314,9 +314,6 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 # Differential measurement
 # --------------------------------------------------------------------------
 
-_AXIS_CASES = (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
-
-
 def _plan_factors_finite(plan) -> bool:
     for s in plan.steps:
         if not (np.isfinite(s.re) and np.isfinite(s.im)):
@@ -356,7 +353,7 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             continue
         plan = reciprocal_plan(a, env)
         hist[plan.case] += n
-        axis = plan.case in _AXIS_CASES
+        axis = plan.axis
 
         y_plan, bad_mid = _run_crscl_with_plan(x, plan, env)
         if engine is Engine.CRSCL:

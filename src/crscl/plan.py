@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpenv import FpEnv, safe_range
+from .fpenv import FpEnv
 
 
 class CaseTag(enum.Enum):
@@ -68,7 +68,17 @@ class FlopCounter:
 class ScalePlan:
     steps: tuple
     case: CaseTag
-    division_count: int
+
+    @property
+    def axis(self) -> bool:
+        """True for a real or an imaginary denominator."""
+        return self.case in (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
+
+    @property
+    def division_count(self) -> int:
+        """Real divisions of building the plan: 1/v on an axis; r1, r2,
+        1/ur and 1/ui otherwise."""
+        return 1 if self.axis else 4
 
     def cost(self, n: int) -> FlopCounter:
         """Real operations of building the plan and applying it to n
@@ -121,26 +131,6 @@ def _uv_chain(ar, ai):
     return r1, ar + ai * r1, r2, ai + ar * r2
 
 
-def _axis_steps(v, env: FpEnv, make):
-    """One or two power-of-two-compensated factors for a real-axis denominator.
-
-    `make(x)` builds the step carrying factor x (real factor 1/v, or
-    imaginary factor -1/v).  Returns (steps, real division count).
-    """
-    one = env.ftype(1.0)
-    if safe_range(v, env):
-        return (make(one / v),), 1
-    av = abs(v)
-    if av < env.sfmin:
-        # Includes v == +-0: the factor becomes infinite, as IEEE
-        # division semantics dictate for a zero denominator.
-        return (make(env.sfmin / v), ScaleStep.real(env.inv_sfmin)), 1
-    if av > env.inv_sfmin:
-        return (ScaleStep.real(env.sfmin), make(one / (env.sfmin * v))), 1
-    # NaN: a single propagating factor.
-    return (make(one / v),), 1
-
-
 def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
     """Build the multiplier sequence for scaling by 1/a.
 
@@ -149,60 +139,61 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
     infinite factors.
     """
     with np.errstate(all="ignore"):
-        ar, ai = _as_parts(a, env)
-        f = env.ftype
-        one = f(1.0)
-        neg = f(-1.0)
+        return _reciprocal_plan(*_as_parts(a, env), env)
 
+
+def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
+    """The case tree, on parts already in the working precision."""
+    f = env.ftype
+    one = f(1.0)
+    neg = f(-1.0)
+    sfmin = env.sfmin
+    inv_sfmin = env.inv_sfmin
+
+    if ai == 0 or ar == 0:
+        # `make(c)` builds the step carrying factor c = 1/v: a real factor
+        # c, or an imaginary factor -c, since 1/(v*i) = -(1/v)*i.
         if ai == 0:
-            steps, divs = _axis_steps(ar, env, ScaleStep.real)
-            return ScalePlan(steps, CaseTag.REAL_DENOMINATOR, divs)
-        if ar == 0:
-            steps, divs = _axis_steps(ai, env, lambda x: ScaleStep.imaginary(-x))
-            return ScalePlan(steps, CaseTag.IMAGINARY_DENOMINATOR, divs)
-
-        sfmin = env.sfmin
-        if abs(ar) < sfmin and abs(ai) < sfmin:
-            # Both parts below sfmin.  Built from these parts, the chain can
-            # round inexactly in the subnormal range (the paper's Remark 1).
-            # Scaled by inv_sfmin, a power of two, the parts are exact and
-            # every operand and result of the chain is normal; the second
-            # step multiplies inv_sfmin back in.
-            inv_sfmin = env.inv_sfmin
-            _, ur, _, ui = _uv_chain(ar * inv_sfmin, ai * inv_sfmin)
-            steps = (ScaleStep.complex_(one / ur, neg / ui), ScaleStep.real(inv_sfmin))
-            return ScalePlan(steps, CaseTag.FULL_SMALL, 4)
-
-        # With a part of at least sfmin, rounding keeps |ur| and |ui| at
-        # least sfmin too, so only the large end of the range is left.
-        r1, ur, r2, ui = _uv_chain(ar, ai)
-        if safe_range(ur, env) and safe_range(ui, env):
-            steps = (ScaleStep.complex_(one / ur, neg / ui),)
-            tag = CaseTag.FULL_SAFE
-        elif np.isinf(ar) or np.isinf(ai):
-            # ur/ui are both infinite or both NaN; apply them directly so
-            # infinities map to zero factors and NaNs propagate.
-            steps = (ScaleStep.complex_(one / ur, neg / ui),)
-            tag = CaseTag.FULL_INF_OPERAND
-        elif np.isinf(ur) or np.isinf(ui):
-            # Spurious overflow with finite a: rebuild sfmin-scaled ur/ui.
-            # sfmin*r is a power-of-two rescale of the already-computed
-            # ratio, so every intermediate stays near sfmin*|u|.
-            urs = sfmin * ar + ai * (sfmin * r1)
-            uis = sfmin * ai + ar * (sfmin * r2)
-            steps = (
-                ScaleStep.real(sfmin),
-                ScaleStep.complex_(one / urs, neg / uis),
-            )
-            tag = CaseTag.FULL_INF_RESCUE
-        elif abs(ur) > env.inv_sfmin or abs(ui) > env.inv_sfmin:
-            steps = (
-                ScaleStep.real(sfmin),
-                ScaleStep.complex_(one / (sfmin * ur), neg / (sfmin * ui)),
-            )
-            tag = CaseTag.FULL_LARGE
+            v, tag, make = ar, CaseTag.REAL_DENOMINATOR, ScaleStep.real
         else:
-            # ur or ui is NaN with finite a (a NaN part): propagate.
-            steps = (ScaleStep.complex_(one / ur, neg / ui),)
-            tag = CaseTag.FULL_SAFE
-        return ScalePlan(steps, tag, 4)
+            v, tag, make = ai, CaseTag.IMAGINARY_DENOMINATOR, lambda c: ScaleStep.imaginary(-c)
+        av = abs(v)
+        if av < sfmin:
+            # The FULL_SMALL prescale.  v == +-0 gives an infinite factor,
+            # as IEEE division semantics dictate for a zero denominator.
+            return ScalePlan((make(one / (v * inv_sfmin)), ScaleStep.real(inv_sfmin)), tag)
+        if av > inv_sfmin:
+            return ScalePlan((ScaleStep.real(sfmin), make(one / (sfmin * v))), tag)
+        # In range, or NaN: a single propagating factor.
+        return ScalePlan((make(one / v),), tag)
+
+    if abs(ar) < sfmin and abs(ai) < sfmin:
+        # Both parts below sfmin.  Built from these parts, the chain can
+        # round inexactly in the subnormal range (the paper's Remark 1).
+        # Scaled by inv_sfmin, a power of two, the parts are exact and
+        # every operand and result of the chain is normal; the second
+        # step multiplies inv_sfmin back in.
+        _, ur, _, ui = _uv_chain(ar * inv_sfmin, ai * inv_sfmin)
+        steps = (ScaleStep.complex_(one / ur, neg / ui), ScaleStep.real(inv_sfmin))
+        return ScalePlan(steps, CaseTag.FULL_SMALL)
+
+    # With a part of at least sfmin, rounding keeps |ur| and |ui| at least
+    # sfmin too, so only the large end of the range is left.
+    r1, ur, r2, ui = _uv_chain(ar, ai)
+    if np.isinf(ar) or np.isinf(ai):
+        # ur/ui are both infinite or both NaN; apply them directly so
+        # infinities map to zero factors and NaNs propagate.
+        return ScalePlan((ScaleStep.complex_(one / ur, neg / ui),), CaseTag.FULL_INF_OPERAND)
+    if np.isinf(ur) or np.isinf(ui):
+        # Spurious overflow with finite a: rebuild sfmin-scaled ur/ui.
+        # sfmin*r is a power-of-two rescale of the already-computed ratio,
+        # so every intermediate stays near sfmin*|u|.
+        urs = sfmin * ar + ai * (sfmin * r1)
+        uis = sfmin * ai + ar * (sfmin * r2)
+        steps = (ScaleStep.real(sfmin), ScaleStep.complex_(one / urs, neg / uis))
+        return ScalePlan(steps, CaseTag.FULL_INF_RESCUE)
+    if abs(ur) > inv_sfmin or abs(ui) > inv_sfmin:
+        steps = (ScaleStep.real(sfmin), ScaleStep.complex_(one / (sfmin * ur), neg / (sfmin * ui)))
+        return ScalePlan(steps, CaseTag.FULL_LARGE)
+    # In range, or NaN (a NaN part of a): one propagating factor.
+    return ScalePlan((ScaleStep.complex_(one / ur, neg / ui),), CaseTag.FULL_SAFE)

@@ -43,14 +43,13 @@ import numpy as np
 
 from .fpenv import FpEnv
 from .plan import (
-    CaseTag,
     FlopCounter,
     ScalePlan,
     ScaleStep,
     StepKind,
     as_parts,
     reciprocal_plan,
-    _axis_steps,
+    _reciprocal_plan,
 )
 
 
@@ -183,11 +182,12 @@ def scal_complex(x: StridedVector, cr, ci) -> None:
 
 def rscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -> None:
     """Scale x by the reciprocal of the real number a."""
+    f = env.ftype
     with np.errstate(all="ignore"):
-        steps, divs = _axis_steps(env.ftype(a), env, ScaleStep.real)
-        _scale(x, steps)
+        plan = _reciprocal_plan(f(a), f(0.0), env)
+        _scale(x, plan.steps)
     if counter is not None:
-        counter.add(ScalePlan(steps, CaseTag.REAL_DENOMINATOR, divs).cost(x.n))
+        counter.add(plan.cost(x.n))
 
 
 def crscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -> ScalePlan:

@@ -60,7 +60,7 @@ class TestKernels:
         x = cvec([1 + 2j, -3 + 4j])
         scal_real(StridedVector.wrap(x), np.float32(0.5))
         assert list(x) == [0.5 + 1j, -1.5 + 2j]
-        c = ScalePlan((ScaleStep.real(np.float32(0.5)),), CaseTag.REAL_DENOMINATOR, 0).cost(len(x))
+        c = ScalePlan((ScaleStep.real(np.float32(0.5)),), CaseTag.REAL_DENOMINATOR).cost(len(x))
         assert c.real_mul == 4 and c.real_add == 0
 
     def test_scal_imaginary(self):
@@ -80,7 +80,7 @@ class TestKernels:
         x = cvec([2 + 1j], ENV64)
         scal_complex(StridedVector.wrap(x), 3.0, -2.0)
         assert x[0] == complex(2 + 1j) * complex(3, -2)
-        c = ScalePlan((ScaleStep.complex_(3.0, -2.0),), CaseTag.FULL_SAFE, 0).cost(len(x))
+        c = ScalePlan((ScaleStep.complex_(3.0, -2.0),), CaseTag.FULL_SAFE).cost(len(x))
         assert c.real_mul == 4 and c.real_add == 2
 
 
