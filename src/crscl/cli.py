@@ -36,6 +36,7 @@ from .oracle import (
     ProfileName,
     error_report,
 )
+from .plan import CaseTag, ScalePlan, ScaleStep
 from .vector import (
     _NAIVE_COST,
     Division,
@@ -46,6 +47,13 @@ from .vector import (
 )
 
 DEFAULT_SEED = 0
+
+
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return n
 
 
 def _seed_from(args) -> int:
@@ -231,10 +239,19 @@ def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, FlopCo
     return statistics.median(times) / len(x0) * 1e9, counter
 
 
-# Per-element costs of the naive engines, from the counts they report.
+def _flops_per_element(*steps) -> int:
+    c = ScalePlan(steps, CaseTag.FULL_SAFE).cost(1)
+    return c.real_mul + c.real_add
+
+
+# crscl's costs are those of a one-step and a two-step complex plan and the
+# most divisions of any case; the naive engines' are the counts they report.
+_STEP = ScaleStep.complex_(1.0, 0.0)
 _BENCH_CLAIM = (
-    "reciprocal scaling: 6 flops/element in the safe case (8 when scaled) "
-    "and at most 4 divisions per call; naive per-element division: "
+    f"reciprocal scaling: {_flops_per_element(_STEP)} flops/element in the safe case "
+    f"({_flops_per_element(ScaleStep.real(1.0), _STEP)} when scaled) and at most "
+    f"{max(ScalePlan((), tag).division_count for tag in CaseTag)} divisions per call; "
+    "naive per-element division: "
     + ", ".join(
         "{} {} mul + {} add + {} div".format(e.value, *_NAIVE_COST[d])
         for e, d in NAIVE_DIVISION.items()
@@ -357,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stress", help="differential bound-conformance sweep")
     common(sp, formats=("text", "json", "csv"))
     sp.add_argument("--profile", default="safe", choices=[n.value for n in ProfileName])
-    sp.add_argument("--count", type=int, default=10_000)
+    sp.add_argument("--count", type=non_negative_int, default=10_000)
     sp.add_argument("--engine", action="append",
                     choices=[e.value for e in Engine],
                     help="repeatable; default crscl")

@@ -66,7 +66,7 @@ def _pivot_row(col_re, col_im, j):
     return j + int(np.argmax(mags))
 
 
-def _rank1_update(a, j, env):
+def _rank1_update(a, j):
     # A[j+1:, j+1:] -= L[j+1:, j] * U[j, j+1:], with the conventional
     # 4-multiply/2-add complex product, in the working precision.
     if j + 1 >= a.shape[0] or j + 1 >= a.shape[1]:
@@ -83,7 +83,7 @@ def _rank1_update(a, j, env):
         block.imag = block.imag - prod_im
 
 
-def _factor(a_in: DenseMatrix, env: FpEnv, scale_column) -> LuResult:
+def _factor(a_in: DenseMatrix, scale_column) -> LuResult:
     out = a_in.copy()
     a = out.data
     m, n = a.shape
@@ -101,7 +101,7 @@ def _factor(a_in: DenseMatrix, env: FpEnv, scale_column) -> LuResult:
                 info = j + 1
         elif j + 1 < m:
             scale_column(a, j, pivot)
-        _rank1_update(a, j, env)
+        _rank1_update(a, j)
     return LuResult(DenseMatrix(a, a_in.precision), ipiv, info)
 
 
@@ -114,7 +114,7 @@ def getf2(a_in: DenseMatrix, env: FpEnv | None = None) -> LuResult:
         sub = StridedVector(a[:, j], offset=j + 1, n=a.shape[0] - j - 1)
         crscl(sub, pivot, env)
 
-    return _factor(a_in, env, scale)
+    return _factor(a_in, scale)
 
 
 def getf2_naive(
@@ -138,7 +138,7 @@ def getf2_naive(
             else:
                 naive_div_scale(sub, (pr, pi), division, env)
 
-    return _factor(a_in, env, scale)
+    return _factor(a_in, scale)
 
 
 def _unpack(r: LuResult):

@@ -314,13 +314,6 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 # Differential measurement
 # --------------------------------------------------------------------------
 
-def _plan_factors_finite(plan) -> bool:
-    for s in plan.steps:
-        if not (np.isfinite(s.re) and np.isfinite(s.im)):
-            return False
-    return True
-
-
 def _run_crscl_with_plan(x: np.ndarray, plan, env: FpEnv):
     """Apply the plan, returning the result and a mask of elements whose
     two-step intermediate left the normal range (bound not applicable)."""
@@ -376,7 +369,7 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             x_zero = (x.real == 0) & (x.imag == 0)
             x_bad = ~(np.isfinite(x.real) & np.isfinite(x.imag))
             exclude = x_zero | x_bad | ~finite_exact | (mod < min_normal) | bad_mid
-            if not _plan_factors_finite(plan):
+            if not np.isfinite([f for s in plan.steps for f in (s.re, s.im)]).all():
                 exclude |= True
             if axis:
                 for part in (ex_re, ex_im):

@@ -3,6 +3,14 @@
 A plan is one or two multiplier steps whose mathematical product equals
 1/a.  Building a plan never performs a complex division and uses at most
 four real divisions, independent of any vector length.
+
+`_reciprocal_plan` holds the whole case tree, and one compensation rule
+serves axis (one part zero, v the other) and full denominators: below
+sfmin (v, or both parts of a) the denominator is scaled by 1/sfmin, exactly,
+before any division and a last real step applies 1/sfmin; above 1/sfmin
+(v, ur or ui) a first real step applies sfmin and the factor is built from
+the sfmin-scaled value.  The case fixes the division count: 1 (1/v) on an
+axis, else 4 (r1, r2, 1/ur, 1/ui).
 """
 
 from __future__ import annotations
@@ -76,8 +84,7 @@ class ScalePlan:
 
     @property
     def division_count(self) -> int:
-        """Real divisions of building the plan: 1/v on an axis; r1, r2,
-        1/ur and 1/ui otherwise."""
+        """Real divisions of building the plan."""
         return 1 if self.axis else 4
 
     def cost(self, n: int) -> FlopCounter:
@@ -92,17 +99,12 @@ class ScalePlan:
         )
 
 
-def as_parts(a, env: FpEnv):
-    """Round a complex-like value to the target precision's part pair."""
-    with np.errstate(all="ignore"):
-        return _as_parts(a, env)
-
-
 # The private helpers below run under the caller's np.errstate, so that a
 # public call enters one context, not one per helper.
 
 
 def _as_parts(a, env: FpEnv):
+    """Round a complex-like value to the target precision's part pair."""
     f = env.ftype
     if isinstance(a, tuple):
         return f(a[0]), f(a[1])
@@ -144,15 +146,11 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
 
 def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
     """The case tree, on parts already in the working precision."""
-    f = env.ftype
-    one = f(1.0)
-    neg = f(-1.0)
-    sfmin = env.sfmin
-    inv_sfmin = env.inv_sfmin
+    one, neg = env.ftype(1.0), env.ftype(-1.0)
+    sfmin, inv_sfmin = env.sfmin, env.inv_sfmin
 
     if ai == 0 or ar == 0:
-        # `make(c)` builds the step carrying factor c = 1/v: a real factor
-        # c, or an imaginary factor -c, since 1/(v*i) = -(1/v)*i.
+        # make(c) builds the step of factor c = 1/v; 1/(v*i) = -(1/v)*i.
         if ai == 0:
             v, tag, make = ar, CaseTag.REAL_DENOMINATOR, ScaleStep.real
         else:
@@ -168,11 +166,9 @@ def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
         return ScalePlan((make(one / v),), tag)
 
     if abs(ar) < sfmin and abs(ai) < sfmin:
-        # Both parts below sfmin.  Built from these parts, the chain can
-        # round inexactly in the subnormal range (the paper's Remark 1).
-        # Scaled by inv_sfmin, a power of two, the parts are exact and
-        # every operand and result of the chain is normal; the second
-        # step multiplies inv_sfmin back in.
+        # Built from these parts, the chain could round inexactly in the
+        # subnormal range (the paper's Remark 1); the inv_sfmin-scaled parts
+        # are exact, and every operand and result of their chain is normal.
         _, ur, _, ui = _uv_chain(ar * inv_sfmin, ai * inv_sfmin)
         steps = (ScaleStep.complex_(one / ur, neg / ui), ScaleStep.real(inv_sfmin))
         return ScalePlan(steps, CaseTag.FULL_SMALL)

@@ -6,8 +6,8 @@ else.  Only `crscl`, `rscl` and `naive_div_scale` take a `FlopCounter`,
 which they fill from the cost of what ran: `ScalePlan.cost` or `_NAIVE_COST`.
 
 One kernel, `_scale`, applies a sequence of steps (a plan, or the one
-step of `scal_real`, `scal_imaginary`, `scal_complex`, `apply_step`, or
-the axis steps of `rscl`) in a single pass over the addressed elements.
+step of `scal_real`, `scal_imaginary`, `scal_complex` or `apply_step`)
+in a single pass over the addressed elements.
 It walks them in blocks of BLOCK elements and runs every step on a block
 while the block is still in L2, so a two-step plan reads and writes main
 memory once, not twice.  Each block is seen as contiguous interleaved
@@ -47,8 +47,8 @@ from .plan import (
     ScalePlan,
     ScaleStep,
     StepKind,
-    as_parts,
     reciprocal_plan,
+    _as_parts,
     _reciprocal_plan,
 )
 
@@ -239,9 +239,9 @@ def naive_div_scale(
 ) -> None:
     """Reference engine: divide each element by a, one complex division per
     element, using the selected division algorithm."""
-    dr, di = as_parts(a, env)
     v = x.view()
     with np.errstate(all="ignore"):
+        dr, di = _as_parts(a, env)
         # Both quotient parts are formed before either is written back.
         v.real, v.imag = QUOTIENT[division](v.real, v.imag, dr, di)
     if counter is not None:

@@ -9,7 +9,7 @@ import pytest
 import crscl
 from crscl.cli import main
 from crscl.hexfloat import read_vector, write_vector
-from crscl import Precision, StridedVector, crscl as crscl_scale, fp_env
+from crscl import Precision, StridedVector, crscl as crscl_scale, fp_env, reciprocal_plan
 
 
 def run(capsys, *argv):
@@ -183,6 +183,9 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path, argv):
         (("reproduce-issues", "--seed", "3"), "unrecognized arguments"),
         (("reproduce-issues", "--format", "csv"), "invalid choice"),
         (("bench", "--format", "csv"), "invalid choice"),
+        (("stress", "--profile", "special", "--count", "-1"), "argument --count"),
+        (("stress", "--profile", "safe", "--count", "-1"), "argument --count"),
+        (("stress", "--profile", "tiny", "--count", "-3", "--format", "json"), "argument --count"),
     ],
 )
 def test_ignored_options_are_rejected(capsys, tmp_path, argv, message):
@@ -212,6 +215,27 @@ class TestBench:
                 assert (r["real_mul"], r["real_add"], r["real_div"] * r["n"]) == (4, 2, 4)
         assert "naive_smith 3 mul + 3 add + 3 div" in payload["comparison"]
         assert ">= 13" not in payload["comparison"]
+
+    def test_claim_numbers_are_plan_costs(self):
+        import crscl.cli as cli
+        env = fp_env(Precision.BINARY32)
+        safe = reciprocal_plan(complex(3.0, 4.0), env)
+        scaled = reciprocal_plan(complex(2.0**126, 2.0**126), env)
+        assert (len(safe.steps), len(scaled.steps)) == (1, 2)
+        flops = [p.cost(1).real_mul + p.cost(1).real_add for p in (safe, scaled)]
+        divisions = max(
+            reciprocal_plan(a, env).division_count
+            for a in (4.0, 2j, 3 + 4j, complex(2.0**-130, 2.0**-130), complex(2.0**127, 2.0**127))
+        )
+        assert cli._BENCH_CLAIM.startswith(
+            f"reciprocal scaling: {flops[0]} flops/element in the safe case "
+            f"({flops[1]} when scaled) and at most {divisions} divisions per call; "
+        )
+        assert cli._BENCH_CLAIM == (
+            "reciprocal scaling: 6 flops/element in the safe case (8 when scaled) "
+            "and at most 4 divisions per call; naive per-element division: "
+            "naive_smith 3 mul + 3 add + 3 div, naive_textbook 6 mul + 3 add + 2 div per element"
+        )
 
     def test_text_reports_each_count(self, capsys, monkeypatch):
         import crscl.cli as cli
