@@ -16,6 +16,7 @@ axis, else 4 (r1, r2, 1/ur, 1/ui).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,11 +177,11 @@ def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
     # With a part of at least sfmin, rounding keeps |ur| and |ui| at least
     # sfmin too, so only the large end of the range is left.
     r1, ur, r2, ui = _uv_chain(ar, ai)
-    if np.isinf(ar) or np.isinf(ai):
+    if math.isinf(ar) or math.isinf(ai):
         # ur/ui are both infinite or both NaN; apply them directly so
         # infinities map to zero factors and NaNs propagate.
         return ScalePlan((ScaleStep.complex_(one / ur, neg / ui),), CaseTag.FULL_INF_OPERAND)
-    if np.isinf(ur) or np.isinf(ui):
+    if math.isinf(ur) or math.isinf(ui):
         # Spurious overflow with finite a: rebuild sfmin-scaled ur/ui.
         # sfmin*r is a power-of-two rescale of the already-computed ratio,
         # so every intermediate stays near sfmin*|u|.
