@@ -1,6 +1,6 @@
 """Overflow/underflow-safe scaling of complex vectors by a complex reciprocal."""
 
-from .fpenv import FpEnv, Precision, fp_env, gamma, safe_range
+from .fpenv import FpEnv, Precision, fp_env, gamma
 from .plan import CaseTag, ScalePlan, ScaleStep, StepKind, compute_uv, reciprocal_plan
 from .vector import (
     Division,
@@ -40,7 +40,6 @@ __all__ = [
     "Precision",
     "fp_env",
     "gamma",
-    "safe_range",
     "CaseTag",
     "ScalePlan",
     "ScaleStep",

@@ -219,24 +219,29 @@ def cmd_stress(args) -> int:
 # bench
 # --------------------------------------------------------------------------
 
-_BENCH_SIZES = (100, 10_000, 1_000_000)
+# The small sizes measure the fixed per-call cost (plan, dispatch and
+# errstate), the large ones the per-element cost.
+_BENCH_SIZES = (1, 8, 64, 100, 10_000, 1_000_000)
 _BENCH_REPS = 15
 
 
-def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[float, FlopCounter]:
-    """Median ns/element and the FlopCounter summed over the repetitions."""
+def _bench_engine(engine: Engine, x0: np.ndarray, a, env) -> tuple[list, FlopCounter]:
+    """Seconds per call of each repetition, and the FlopCounter summed
+    over them.  Call 0 warms the path up and is neither timed nor counted."""
     times = []
     counter = FlopCounter()
-    for _ in range(_BENCH_REPS):
-        y = x0.copy()
-        sv = StridedVector.wrap(y)
+    for rep in range(_BENCH_REPS + 1):
+        c = counter if rep else None
+        sv = StridedVector.wrap(x0.copy())
         t0 = time.perf_counter()
         if engine is Engine.CRSCL:
-            crscl(sv, a, env, counter)
+            crscl(sv, a, env, c)
         else:
-            naive_div_scale(sv, a, NAIVE_DIVISION[engine], env, counter)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) / len(x0) * 1e9, counter
+            naive_div_scale(sv, a, NAIVE_DIVISION[engine], env, c)
+        t = time.perf_counter() - t0
+        if rep:
+            times.append(t)
+    return times, counter
 
 
 def _flops_per_element(*steps) -> int:
@@ -273,14 +278,18 @@ def cmd_bench(args) -> int:
         x0.real = re
         x0.imag = im
         for engine in Engine:
-            ns_per_elem, counter = _bench_engine(engine, x0, a, env)
+            times, counter = _bench_engine(engine, x0, a, env)
+            median = statistics.median(times)
+            q1, _, q3 = statistics.quantiles(times, n=4)
             elems = _BENCH_REPS * n
             mul, add, div = (c / elems for c in (counter.real_mul, counter.real_add, counter.real_div))
             rows.append(
                 {
                     "n": n,
                     "engine": engine.value,
-                    "ns_per_element": round(ns_per_elem, 3),
+                    "ns_per_element": round(median / n * 1e9, 3),
+                    "us_per_call": round(median * 1e6, 3),
+                    "us_per_call_iqr": round((q3 - q1) * 1e6, 3),
                     "real_mul": mul,
                     "real_add": add,
                     "real_div": div,
@@ -306,6 +315,7 @@ def cmd_bench(args) -> int:
         for r in rows:
             lines.append(
                 f"n={r['n']:>8} {r['engine']:<15} ns/element={r['ns_per_element']:>10} "
+                f"us/call={r['us_per_call']:>10} (iqr {r['us_per_call_iqr']}) "
                 f"flops/element={r['flops_per_element']:.1f} "
                 f"mul/add/div per element={r['real_mul']:g}/{r['real_add']:g}/{r['real_div']:.3g}"
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +53,12 @@ class FpEnv:
     min_subnormal: object
     inv_sfmin: object
 
-    @property
+    # Cached on first use: the plan and kernel read them on every call.
+    @cached_property
     def ftype(self):
         return self.precision.ftype
 
-    @property
+    @cached_property
     def ctype(self):
         return self.precision.ctype
 
@@ -84,8 +86,3 @@ def gamma(k: int, env: FpEnv) -> float:
         raise ValueError(f"gamma undefined: k*u = {ku} >= 1")
     return ku / (1.0 - ku)
 
-
-def safe_range(v, env: FpEnv) -> bool:
-    """True iff sfmin <= |v| <= 1/sfmin.  False for NaN."""
-    a = abs(v)
-    return bool(env.sfmin <= a) and bool(a <= env.inv_sfmin)

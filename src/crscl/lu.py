@@ -61,8 +61,7 @@ class LuResult:
 
 def _pivot_row(col_re, col_im, j):
     # CABS1 pivoting: largest |re| + |im|, ties to the lowest row index.
-    with np.errstate(all="ignore"):
-        mags = np.abs(col_re) + np.abs(col_im)
+    mags = np.abs(col_re) + np.abs(col_im)
     return j + int(np.argmax(mags))
 
 
@@ -71,16 +70,15 @@ def _rank1_update(a, j):
     # 4-multiply/2-add complex product, in the working precision.
     if j + 1 >= a.shape[0] or j + 1 >= a.shape[1]:
         return
-    with np.errstate(all="ignore"):
-        lr = a[j + 1 :, j].real[:, None]
-        li = a[j + 1 :, j].imag[:, None]
-        ur = a[j, j + 1 :].real[None, :]
-        ui = a[j, j + 1 :].imag[None, :]
-        prod_re = (lr * ur) - (li * ui)
-        prod_im = (lr * ui) + (li * ur)
-        block = a[j + 1 :, j + 1 :]
-        block.real = block.real - prod_re
-        block.imag = block.imag - prod_im
+    lr = a[j + 1 :, j].real[:, None]
+    li = a[j + 1 :, j].imag[:, None]
+    ur = a[j, j + 1 :].real[None, :]
+    ui = a[j, j + 1 :].imag[None, :]
+    prod_re = (lr * ur) - (li * ui)
+    prod_im = (lr * ui) + (li * ur)
+    block = a[j + 1 :, j + 1 :]
+    block.real = block.real - prod_re
+    block.imag = block.imag - prod_im
 
 
 def _factor(a_in: DenseMatrix, scale_column) -> LuResult:
@@ -90,18 +88,21 @@ def _factor(a_in: DenseMatrix, scale_column) -> LuResult:
     k = min(m, n)
     ipiv = []
     info = 0
-    for j in range(k):
-        p = _pivot_row(a[j:, j].real, a[j:, j].imag, j)
-        ipiv.append(p + 1)
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-        pivot = a[j, j]
-        if pivot == 0:
-            if info == 0:
-                info = j + 1
-        elif j + 1 < m:
-            scale_column(a, j, pivot)
-        _rank1_update(a, j)
+    # One np.errstate for the whole factorization: the helpers and
+    # scale_column run under it.
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            p = _pivot_row(a[j:, j].real, a[j:, j].imag, j)
+            ipiv.append(p + 1)
+            if p != j:
+                a[[j, p], :] = a[[p, j], :]
+            pivot = a[j, j]
+            if pivot == 0:
+                if info == 0:
+                    info = j + 1
+            elif j + 1 < m:
+                scale_column(a, j, pivot)
+            _rank1_update(a, j)
     return LuResult(DenseMatrix(a, a_in.precision), ipiv, info)
 
 
@@ -130,13 +131,12 @@ def getf2_naive(
         pr = env.ftype(pivot.real)
         pi = env.ftype(pivot.imag)
         sub = StridedVector(a[:, j], offset=j + 1, n=a.shape[0] - j - 1)
-        with np.errstate(all="ignore"):
-            # Overflow-free modulus, like the Fortran complex ABS.
-            if np.hypot(pr, pi) >= env.sfmin:
-                rr, ri = QUOTIENT[division](one, zero, pr, pi)
-                scal_complex(sub, rr, ri)
-            else:
-                naive_div_scale(sub, (pr, pi), division, env)
+        # Overflow-free modulus, like the Fortran complex ABS.
+        if np.hypot(pr, pi) >= env.sfmin:
+            rr, ri = QUOTIENT[division](one, zero, pr, pi)
+            scal_complex(sub, rr, ri)
+        else:
+            naive_div_scale(sub, (pr, pi), division, env)
 
     return _factor(a_in, scale)
 
@@ -164,32 +164,48 @@ def permuted(a: np.ndarray, ipiv) -> np.ndarray:
     return pa
 
 
+def _residual_max(pa, l, u, precision: Precision) -> float:
+    """Largest modulus of an entry of P*A - L*U; not finite when an entry
+    is not."""
+    if precision is Precision.BINARY32:
+        resid = pa - l @ u
+        return float(np.max(np.abs(resid))) if resid.size else 0.0
+    rmax = 0.0
+    m, n = pa.shape
+    k = l.shape[1]
+    for i in range(m):
+        for j in range(n):
+            terms_re = [pa[i, j].real]
+            terms_im = [pa[i, j].imag]
+            for t in range(k):
+                lr, li = l[i, t].real, l[i, t].imag
+                ur, ui = u[t, j].real, u[t, j].imag
+                terms_re += [-(lr * ur), li * ui]
+                terms_im += [-(lr * ui), -(li * ur)]
+            try:
+                r_ij = math.hypot(math.fsum(terms_re), math.fsum(terms_im))
+            except ValueError:  # fsum of +inf and -inf
+                return math.nan
+            if not math.isfinite(r_ij):  # max() would drop a NaN
+                return r_ij
+            rmax = max(rmax, r_ij)
+    return rmax
+
+
 def backward_error(a_in: DenseMatrix, r: LuResult) -> float:
     """max-norm of P*A - L*U relative to n * u * max-norm of A.
 
     Residuals for binary32 inputs are evaluated in binary64; binary64
-    inputs use compensated (fsum) accumulation entry by entry.
+    inputs use compensated (fsum) accumulation entry by entry.  A residual
+    that is not finite (NaN or infinite factors) gives inf, in both.
     """
     env = fp_env(a_in.precision)
     pa = permuted(a_in.data, r.ipiv)
     l, u = _unpack(r)
-    if a_in.precision is Precision.BINARY32:
-        resid = pa - l @ u
-        rmax = float(np.max(np.abs(resid))) if resid.size else 0.0
-    else:
-        rmax = 0.0
-        m, n = pa.shape
-        k = l.shape[1]
-        for i in range(m):
-            for j in range(n):
-                terms_re = [pa[i, j].real]
-                terms_im = [pa[i, j].imag]
-                for t in range(k):
-                    lr, li = l[i, t].real, l[i, t].imag
-                    ur, ui = u[t, j].real, u[t, j].imag
-                    terms_re += [-(lr * ur), li * ui]
-                    terms_im += [-(lr * ui), -(li * ur)]
-                rmax = max(rmax, math.hypot(math.fsum(terms_re), math.fsum(terms_im)))
+    with np.errstate(all="ignore"):
+        rmax = _residual_max(pa, l, u, a_in.precision)
+    if not math.isfinite(rmax):
+        return math.inf
     amax = float(np.max(np.abs(np.array(a_in.data, dtype=np.complex128))))
     if rmax == 0.0:
         return 0.0

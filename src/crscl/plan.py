@@ -40,6 +40,12 @@ class StepKind(enum.Enum):
     COMPLEX_FACTOR = "complex"
 
 
+# Module constants for the per-call paths: reading an enum member through
+# its class costs about 0.1 us in Python 3.11.
+_REAL, _IMAGINARY, _COMPLEX = StepKind.REAL_FACTOR, StepKind.IMAGINARY_FACTOR, StepKind.COMPLEX_FACTOR
+_AXIS_CASES = (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
+
+
 @dataclass(frozen=True)
 class ScaleStep:
     kind: StepKind
@@ -81,7 +87,7 @@ class ScalePlan:
     @property
     def axis(self) -> bool:
         """True for a real or an imaginary denominator."""
-        return self.case in (CaseTag.REAL_DENOMINATOR, CaseTag.IMAGINARY_DENOMINATOR)
+        return self.case in _AXIS_CASES
 
     @property
     def division_count(self) -> int:
@@ -92,16 +98,18 @@ class ScalePlan:
         """Real operations of building the plan and applying it to n
         elements: 2 multiplies per element for a real or imaginary step,
         4 multiplies and 2 adds for a complex one."""
-        complex_steps = sum(s.kind is StepKind.COMPLEX_FACTOR for s in self.steps)
-        return FlopCounter(
-            real_mul=2 * n * (len(self.steps) + complex_steps),
-            real_add=2 * n * complex_steps,
-            real_div=self.division_count,
-        )
+        complex_steps = sum(s.kind is _COMPLEX for s in self.steps)
+        # (real_mul, real_add, real_div), positional: keywords cost more.
+        return FlopCounter(2 * n * (len(self.steps) + complex_steps), 2 * n * complex_steps, self.division_count)
 
 
 # The private helpers below run under the caller's np.errstate, so that a
-# public call enters one context, not one per helper.
+# public call enters one context, not one per helper.  They build steps
+# directly rather than through the classmethods: a plan is built on every
+# crscl call, so its fixed cost is paid per call.
+
+# (1, -1, 0) in each working precision, keyed by the part type.
+_UNITS = {f: (f(1.0), f(-1.0), f(0.0)) for f in (np.float32, np.float64)}
 
 
 def _as_parts(a, env: FpEnv):
@@ -147,22 +155,24 @@ def reciprocal_plan(a, env: FpEnv) -> ScalePlan:
 
 def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
     """The case tree, on parts already in the working precision."""
-    one, neg = env.ftype(1.0), env.ftype(-1.0)
+    one, neg, zero = _UNITS[type(ar)]
     sfmin, inv_sfmin = env.sfmin, env.inv_sfmin
 
     if ai == 0 or ar == 0:
         # make(c) builds the step of factor c = 1/v; 1/(v*i) = -(1/v)*i.
         if ai == 0:
-            v, tag, make = ar, CaseTag.REAL_DENOMINATOR, ScaleStep.real
+            v, tag = ar, CaseTag.REAL_DENOMINATOR
+            make = lambda c: ScaleStep(_REAL, c, zero)
         else:
-            v, tag, make = ai, CaseTag.IMAGINARY_DENOMINATOR, lambda c: ScaleStep.imaginary(-c)
+            v, tag = ai, CaseTag.IMAGINARY_DENOMINATOR
+            make = lambda c: ScaleStep(_IMAGINARY, zero, -c)
         av = abs(v)
         if av < sfmin:
             # The FULL_SMALL prescale.  v == +-0 gives an infinite factor,
             # as IEEE division semantics dictate for a zero denominator.
-            return ScalePlan((make(one / (v * inv_sfmin)), ScaleStep.real(inv_sfmin)), tag)
+            return ScalePlan((make(one / (v * inv_sfmin)), ScaleStep(_REAL, inv_sfmin, zero)), tag)
         if av > inv_sfmin:
-            return ScalePlan((ScaleStep.real(sfmin), make(one / (sfmin * v))), tag)
+            return ScalePlan((ScaleStep(_REAL, sfmin, zero), make(one / (sfmin * v))), tag)
         # In range, or NaN: a single propagating factor.
         return ScalePlan((make(one / v),), tag)
 
@@ -171,7 +181,7 @@ def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
         # subnormal range (the paper's Remark 1); the inv_sfmin-scaled parts
         # are exact, and every operand and result of their chain is normal.
         _, ur, _, ui = _uv_chain(ar * inv_sfmin, ai * inv_sfmin)
-        steps = (ScaleStep.complex_(one / ur, neg / ui), ScaleStep.real(inv_sfmin))
+        steps = (ScaleStep(_COMPLEX, one / ur, neg / ui), ScaleStep(_REAL, inv_sfmin, zero))
         return ScalePlan(steps, CaseTag.FULL_SMALL)
 
     # With a part of at least sfmin, rounding keeps |ur| and |ui| at least
@@ -180,17 +190,20 @@ def _reciprocal_plan(ar, ai, env: FpEnv) -> ScalePlan:
     if math.isinf(ar) or math.isinf(ai):
         # ur/ui are both infinite or both NaN; apply them directly so
         # infinities map to zero factors and NaNs propagate.
-        return ScalePlan((ScaleStep.complex_(one / ur, neg / ui),), CaseTag.FULL_INF_OPERAND)
+        return ScalePlan((ScaleStep(_COMPLEX, one / ur, neg / ui),), CaseTag.FULL_INF_OPERAND)
     if math.isinf(ur) or math.isinf(ui):
         # Spurious overflow with finite a: rebuild sfmin-scaled ur/ui.
         # sfmin*r is a power-of-two rescale of the already-computed ratio,
         # so every intermediate stays near sfmin*|u|.
         urs = sfmin * ar + ai * (sfmin * r1)
         uis = sfmin * ai + ar * (sfmin * r2)
-        steps = (ScaleStep.real(sfmin), ScaleStep.complex_(one / urs, neg / uis))
+        steps = (ScaleStep(_REAL, sfmin, zero), ScaleStep(_COMPLEX, one / urs, neg / uis))
         return ScalePlan(steps, CaseTag.FULL_INF_RESCUE)
     if abs(ur) > inv_sfmin or abs(ui) > inv_sfmin:
-        steps = (ScaleStep.real(sfmin), ScaleStep.complex_(one / (sfmin * ur), neg / (sfmin * ui)))
+        steps = (
+            ScaleStep(_REAL, sfmin, zero),
+            ScaleStep(_COMPLEX, one / (sfmin * ur), neg / (sfmin * ui)),
+        )
         return ScalePlan(steps, CaseTag.FULL_LARGE)
     # In range, or NaN (a NaN part of a): one propagating factor.
-    return ScalePlan((ScaleStep.complex_(one / ur, neg / ui),), CaseTag.FULL_SAFE)
+    return ScalePlan((ScaleStep(_COMPLEX, one / ur, neg / ui),), CaseTag.FULL_SAFE)

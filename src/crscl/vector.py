@@ -12,9 +12,18 @@ It walks them in blocks of BLOCK elements and runs every step on a block
 while the block is still in L2, so a two-step plan reads and writes main
 memory once, not twice.  Each block is seen as contiguous interleaved
 (re, im) pairs: in place when the view is contiguous, otherwise through
-a block-sized staging copy.  The products go by ufunc `out=` into two
-block-sized temporaries (one product per part per factor, over all pairs
-at once), and the sums go back into the block's re/im slots.
+a block-sized staging copy.  A contiguous view of at most BLOCK elements
+is its own single block: no staging copy and no slicing.  The products
+of an imaginary or complex step go into two temporaries (one product per
+part per factor, over all pairs at once) that its first multiply
+allocates and later blocks reuse, and the sums go back into the block's
+re/im slots; a plan of real steps allocates nothing.
+
+One errstate per public call: `crscl` and `rscl` enter a single
+`np.errstate` around both the plan (`plan._reciprocal_plan`) and the
+kernel, which run under it; `apply_plan` and `apply_step` enter one around
+the kernel alone.  Each context costs 1-2 us, a large share of a call on
+a short vector.
 
 Bit-identity contract: every addressed element gets exactly the value of
 the per-element expression of its step, in this operand order, with
@@ -46,8 +55,8 @@ from .plan import (
     FlopCounter,
     ScalePlan,
     ScaleStep,
-    StepKind,
-    reciprocal_plan,
+    _IMAGINARY,
+    _REAL,
     _as_parts,
     _reciprocal_plan,
 )
@@ -94,16 +103,6 @@ class StridedVector:
         return self.data[self.offset : end : self.stride]
 
 
-def _work_dtype(part: np.dtype, steps) -> np.dtype:
-    # The dtype numpy gives the per-element expressions: the part dtype,
-    # unless a factor is wider (Python floats are weak and never widen).
-    for s in steps:
-        for f in (s.re, s.im):
-            if type(f) is not part.type and type(f) is not float:
-                return np.result_type(part, *(g for t in steps for g in (t.re, t.im)))
-    return part
-
-
 def _scale(x: StridedVector, steps) -> None:
     """Apply every step to each block in turn; the caller holds np.errstate."""
     n = x.n
@@ -111,42 +110,47 @@ def _scale(x: StridedVector, steps) -> None:
         return
     v = x.view()
     part = v.real.dtype
-    work = _work_dtype(part, steps)
-    size = min(n, BLOCK)
     # A view that is not contiguous is staged through `stage` one block at
     # a time, so the steps always run on contiguous (re, im) pairs.
-    stage = None if v.flags.c_contiguous else np.empty(size, v.dtype)
-    p = np.empty(2 * size, work)
-    q = np.empty(2 * size, work)
+    stage = None if v.flags.c_contiguous else np.empty(min(n, BLOCK), v.dtype)
+    # The product temporaries: allocated by the first non-real step's
+    # multiply, in the dtype numpy gives its products, and reused by every
+    # later block (a plan has at most one non-real step).
+    p = q = None
     for lo in range(0, n, BLOCK):
-        blk = v[lo : lo + BLOCK]
-        m = len(blk)
-        if m < size:
-            p, q = p[: 2 * m], q[: 2 * m]
-            if stage is not None:
-                stage = stage[:m]
+        if n <= BLOCK:
+            blk = v
+        else:
+            blk = v[lo : lo + BLOCK]
+            m = len(blk)
+            if m < BLOCK:
+                # The last block is shorter than the others.
+                if p is not None:
+                    p, q = p[: 2 * m], q[: 2 * m]
+                if stage is not None:
+                    stage = stage[:m]
         if stage is None:
             f = blk.view(part)
         else:
             np.copyto(stage, blk)
             f = stage.view(part)
-        re, im = f[0::2], f[1::2]
         for s in steps:
-            if s.kind is StepKind.REAL_FACTOR:
+            kind = s.kind
+            if kind is _REAL:
                 # (re, im) <- (re*c, im*c)
                 np.multiply(f, s.re, out=f)
-            elif s.kind is StepKind.IMAGINARY_FACTOR:
+            elif kind is _IMAGINARY:
                 # (re, im) <- (-(im*t), re*t)
-                np.multiply(f, s.im, out=p)
-                np.negative(p, out=q)
-                np.copyto(re, q[1::2])
-                np.copyto(im, p[0::2])
+                p = np.multiply(f, s.im, out=p)
+                q = np.negative(p, out=q)
+                np.copyto(f[0::2], q[1::2])
+                np.copyto(f[1::2], p[0::2])
             else:
                 # (re, im) <- (re*cr - im*ci, re*ci + im*cr)
-                np.multiply(f, s.re, out=p)
-                np.multiply(f, s.im, out=q)
-                np.subtract(p[0::2], q[1::2], out=re)
-                np.add(q[0::2], p[1::2], out=im)
+                p = np.multiply(f, s.re, out=p)
+                q = np.multiply(f, s.im, out=q)
+                np.subtract(p[0::2], q[1::2], out=f[0::2])
+                np.add(q[0::2], p[1::2], out=f[1::2])
         if stage is not None:
             np.copyto(blk, stage)
 
@@ -193,8 +197,9 @@ def rscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) ->
 def crscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -> ScalePlan:
     """Scale x by the reciprocal of the complex number a, without complex
     division and with at most four real divisions."""
-    plan = reciprocal_plan(a, env)
-    apply_plan(x, plan)
+    with np.errstate(all="ignore"):
+        plan = _reciprocal_plan(*_as_parts(a, env), env)
+        _scale(x, plan.steps)
     if counter is not None:
         counter.add(plan.cost(x.n))
     return plan

@@ -1,9 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from crscl import Precision, fp_env, gamma, safe_range
+from crscl import (
+    CaseProfile,
+    CaseTag,
+    DenseMatrix,
+    Precision,
+    ProfileName,
+    StridedVector,
+    apply_plan,
+    crscl,
+    fp_env,
+    gamma,
+    gen_cases,
+    getf2,
+    reciprocal_plan,
+    rscl,
+)
 
 
 @pytest.fixture(params=list(Precision), ids=lambda p: p.value)
@@ -54,21 +70,37 @@ def test_gamma_rejects_bad_k(env):
         gamma(int(1.0 / float(env.eps)) + 1, env)
 
 
-def test_safe_range_boundaries(env):
-    f = env.ftype
-    assert safe_range(env.sfmin, env)
-    assert safe_range(env.inv_sfmin, env)
-    assert safe_range(-env.sfmin, env)
-    assert safe_range(f(1.0), env)
-    assert not safe_range(np.nextafter(env.sfmin, f(0.0)), env)
-    assert not safe_range(np.nextafter(env.inv_sfmin, np.inf), env)
-    assert not safe_range(f(0.0), env)
-    assert not safe_range(f(np.inf), env)
-    assert not safe_range(f(np.nan), env)
-
-
 def test_precision_parse():
     assert Precision.parse("binary32") is Precision.BINARY32
     assert Precision.parse("BINARY64") is Precision.BINARY64
     with pytest.raises(ValueError):
         Precision.parse("binary16")
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+def test_public_calls_leave_the_fp_environment_clean(precision):
+    """Each public call keeps its floating-point exceptions inside its own
+    np.errstate: no RuntimeWarning escapes, even where numpy would warn on
+    underflow, and the caller's error state is the same afterwards.  The
+    special profile's 15 x 15 grid of zero, infinite, NaN, subnormal and
+    extreme parts reaches every plan case."""
+    env = fp_env(precision)
+    runs, seen = [], set()
+    for a, x in gen_cases(CaseProfile(ProfileName.SPECIAL_VALUES, seed=2, count=225), precision):
+        plan = reciprocal_plan(a, env)
+        seen.add(plan.case)
+        m = DenseMatrix.from_rows([[a, 1], [x[0] if len(x) else 0.5, 1]], precision)
+        runs += [
+            lambda a=a: reciprocal_plan(a, env),
+            lambda a=a, x=x: crscl(StridedVector.wrap(x.copy()), a, env),
+            lambda a=a, x=x: rscl(StridedVector.wrap(x.copy()), a.real, env),
+            lambda x=x, plan=plan: apply_plan(StridedVector.wrap(x.copy()), plan),
+            lambda m=m: getf2(m, env),
+        ]
+    assert seen == set(CaseTag)
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = np.geterr()
+        for run in runs:
+            run()
+            assert np.geterr() == before

@@ -122,6 +122,30 @@ class TestBackwardError:
         m = DenseMatrix.from_rows([[2, 1], [1, 1]], Precision.BINARY64)
         assert backward_error(m, getf2(m)) == 0.0
 
+    @pytest.mark.parametrize(
+        "precision, e", [(Precision.BINARY32, -140), (Precision.BINARY64, -1070)], ids=["b32", "b64"]
+    )
+    def test_non_finite_factors_fail_the_check(self, precision, e):
+        # The pivot 2^e + 2^-10*i gets a FULL_INF_RESCUE plan whose factor
+        # is not finite (ROADMAP item 1), so getf2 returns L21 = NaN - inf*i
+        # with info 0.  The residual is then not finite: backward_error must
+        # say inf, not the 0.0 that max(0.0, nan) gives.
+        m = DenseMatrix.from_rows([[complex(2.0**e, 2.0**-10), 1], [2.0**-20, 1]], precision)
+        r = getf2(m)
+        assert r.info == 0
+        assert not np.isfinite(r.lu.data).all()
+        assert backward_error(m, r) == math.inf
+        assert backward_error(m, getf2_naive(m)) <= 10
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, -math.inf), complex(math.inf, math.inf)])
+    def test_any_non_finite_factor_gives_inf(self, precision, bad):
+        m = random_matrix(np.random.default_rng(4), 6, precision)
+        r = getf2_naive(m)
+        assert backward_error(m, r) < 10
+        r.lu.data[4, 1] = bad
+        assert backward_error(m, r) == math.inf
+
 
 class TestUnpackAndPermute:
     def test_plu_reconstructs(self):
