@@ -1,6 +1,7 @@
 """The behavioural contract, pinned as sha256 digests:
 - `stress --format json` stdout and its exit code for every profile in
-  both precisions (seed 5, count 300);
+  both precisions (seed 5, count 300), for the default crscl engine and
+  for the two naive engines together;
 - every plan and the crscl and rscl result bits over a corpus of
   denominators in both precisions;
 - `reproduce-issues --format json` and `scale --explain` output.
@@ -56,6 +57,38 @@ def test_stress_json_digest(capsys, profile, precision):
     ])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STRESS_DIGESTS[profile, precision]
+
+
+# The same runs with `--engine naive_smith --engine naive_textbook`: the
+# naive engines' results, errors and exclusions.
+NAIVE_STRESS_DIGESTS = {
+    ("safe", "binary32"): (0, "350813b85993d947cd919f7734b3856563815e7cfb51a4c102498ecfa7593b0b"),
+    ("huge", "binary32"): (0, "abaee119465052718cdc93c7242f5f128f491a8c69f39ab655e0d031d94dbcbf"),
+    ("tiny", "binary32"): (0, "18d56308865aed930445d28f3e8ed61ae822c9470dfefb0e1a42ef183daa2e19"),
+    ("mixed", "binary32"): (0, "38e18c5fc7dd4d03dae3b7677481a01dbb00c18d6f000d27a4fdeba598b32752"),
+    ("subnormal", "binary32"): (0, "3deeacbb2241ad62d2dd74f7c0c030fbaedd56e2ac31291dcc56bbe427545542"),
+    ("special", "binary32"): (0, "4c9424319f65a79331e83c3b20fe58ed50e18e49eca271ff018e4cd00809a07d"),
+    ("safe", "binary64"): (0, "1151feac7f322ceba82dfbc4547736b35eb58b4120484d13f25fd39c47588124"),
+    ("huge", "binary64"): (0, "d68e8131a9c9ff4bf5ded7d9de5094803ade4c4945220f3c41e9f741c6915b14"),
+    ("tiny", "binary64"): (0, "0db74a1b62cddaf5aa25284f99f92aa4a2a150ed99187c2663334c976cf0c62b"),
+    ("mixed", "binary64"): (0, "6cf07c558e0d434ba23ea57cce40f4f75e83e3b8d8b1b6b2152fb247fcb48689"),
+    ("subnormal", "binary64"): (0, "95d1bda7eb5b429ce0d9e45d67c5d1996d9a121333b0984a6795c23ed0350a9c"),
+    ("special", "binary64"): (0, "bc56e5e9f5c322bd2abf1c97b9ff97b0e026eea7d7d97ff7150456c2dc414209"),
+}
+
+
+@pytest.mark.parametrize(
+    "profile,precision", list(NAIVE_STRESS_DIGESTS),
+    ids=[f"{p}-{q}" for p, q in NAIVE_STRESS_DIGESTS],
+)
+def test_naive_stress_json_digest(capsys, profile, precision):
+    code = main([
+        "stress", "--format", "json", "--precision", precision,
+        "--profile", profile, "--seed", "5", "--count", "300",
+        "--engine", "naive_smith", "--engine", "naive_textbook",
+    ])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == NAIVE_STRESS_DIGESTS[profile, precision]
 
 
 # --------------------------------------------------------------------------
