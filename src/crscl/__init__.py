@@ -1,7 +1,7 @@
 """Overflow/underflow-safe scaling of complex vectors by a complex reciprocal."""
 
 from .fpenv import FpEnv, Precision, fp_env, gamma
-from .plan import CaseTag, ScalePlan, ScaleStep, StepKind, compute_uv, reciprocal_plan
+from .plan import CaseTag, ScalePlan, ScaleStep, StepKind, reciprocal_plan
 from .vector import (
     Division,
     FlopCounter,
@@ -28,10 +28,7 @@ from .oracle import (
     ErrorReport,
     ProfileName,
     error_report,
-    exact_reciprocal_scale,
     gen_cases,
-    relative_error,
-    relative_error_parts,
     ulp_distance,
 )
 
@@ -44,7 +41,6 @@ __all__ = [
     "ScalePlan",
     "ScaleStep",
     "StepKind",
-    "compute_uv",
     "reciprocal_plan",
     "Division",
     "FlopCounter",
@@ -67,10 +63,7 @@ __all__ = [
     "ErrorReport",
     "ProfileName",
     "error_report",
-    "exact_reciprocal_scale",
     "gen_cases",
-    "relative_error",
-    "relative_error_parts",
     "ulp_distance",
 ]
 

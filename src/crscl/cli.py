@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import statistics
 import sys
@@ -54,18 +53,6 @@ def non_negative_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return n
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env_seed = os.environ.get("CRSCL_SEED")
-    if env_seed is not None:
-        try:
-            return int(env_seed)
-        except ValueError:
-            raise ValueError(f"bad CRSCL_SEED: {env_seed!r} is not an integer") from None
-    return DEFAULT_SEED
 
 
 def _emit(text: str, args) -> None:
@@ -188,7 +175,7 @@ def cmd_stress(args) -> int:
     precision = Precision.parse(args.precision)
     name = ProfileName(args.profile)
     engines = [Engine(e) for e in (args.engine or ["crscl"])]
-    profile = CaseProfile(name, seed=_seed_from(args), count=args.count)
+    profile = CaseProfile(name, seed=args.seed, count=args.count)
     rows = []
     crscl_violations = 0
     for engine in engines:
@@ -268,7 +255,7 @@ _BENCH_CLAIM = (
 def cmd_bench(args) -> int:
     precision = Precision.parse(args.precision)
     env = fp_env(precision)
-    rng = np.random.default_rng(_seed_from(args))
+    rng = np.random.default_rng(args.seed)
     a = complex(3.0 + rng.random(), -2.0 + rng.random())
     rows = []
     for n in _BENCH_SIZES:
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write the report to this path")
         if seed:
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("reproduce-issues", help="re-run the two LU issue matrices")
     common(sp, seed=False)

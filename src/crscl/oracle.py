@@ -1,7 +1,8 @@
 """Ground truth, error metrics, and structured case generation.
 
 Binary32 kernels are measured against a binary64 reference; binary64
-results are checked against exact rational arithmetic rounded once.
+results are checked against exact rational arithmetic, done in integers
+and rounded once.
 Case profiles target specific branches of the reciprocal-plan case tree
 and reproduce bit-identical streams from their seed.
 """
@@ -12,7 +13,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .plan import CaseTag, reciprocal_plan
 from .vector import (
     Division,
     StridedVector,
+    apply_plan,
     apply_step,
     naive_div_scale,
 )
@@ -76,28 +77,27 @@ class ErrorReport:
 # --------------------------------------------------------------------------
 
 
-def _to_float(fr) -> float:
-    # Rational quotients can exceed the binary64 range even when every
-    # operand is representable; round those to the correct infinity.
-    try:
-        return float(fr)
-    except OverflowError:
-        return math.inf if fr > 0 else -math.inf
+def _exact_quotient(xr: float, xi: float, ar: float, ai: float) -> complex:
+    """(xr + xi*i) / (ar + ai*i) for finite binary64 parts and a != 0,
+    each part rounded once.
 
-
-def _rational_quotient(xr, xi, ar, ai):
-    fxr, fxi = Fraction(xr), Fraction(xi)
-    far, fai = Fraction(ar), Fraction(ai)
-    den = far * far + fai * fai
-    qr = (fxr * far + fxi * fai) / den
-    qi = (fxi * far - fxr * fai) / den
-    return qr, qi
-
-
-def exact_reciprocal_scale(x, a, target: Precision):
-    """x/a in wider arithmetic, rounded once to the target precision."""
-    with np.errstate(all="ignore"):
-        return target.ctype(_exact_quotients_wide(np.array([complex(x)]), a, target)[0])
+    Every part is scaled to its integer multiple of 2^-1074, so each
+    quotient part is a ratio of integers.  Python's int / int rounds it
+    correctly, to a subnormal or a signed zero too, and raises
+    OverflowError beyond the binary64 range, which maps to the infinity of
+    the quotient's sign.
+    """
+    xr, xi, ar, ai = (
+        num << (1075 - den.bit_length()) for num, den in map(float.as_integer_ratio, (xr, xi, ar, ai))
+    )
+    den = ar * ar + ai * ai
+    parts = []
+    for num in (xr * ar + xi * ai, xi * ar - xr * ai):
+        try:
+            parts.append(num / den)
+        except OverflowError:
+            parts.append(math.inf if num > 0 else -math.inf)
+    return complex(*parts)
 
 
 def _exact_quotients_wide(x: np.ndarray, a, precision: Precision):
@@ -110,13 +110,11 @@ def _exact_quotients_wide(x: np.ndarray, a, precision: Precision):
     ac = complex(a)
     out = np.empty(len(x), dtype=np.complex128)
     finite_a = math.isfinite(ac.real) and math.isfinite(ac.imag) and ac != 0
-    for i, v in enumerate(x):
-        vc = complex(v)
-        if finite_a and math.isfinite(vc.real) and math.isfinite(vc.imag):
-            qr, qi = _rational_quotient(vc.real, vc.imag, ac.real, ac.imag)
-            out[i] = complex(_to_float(qr), _to_float(qi))
+    for i, (xr, xi) in enumerate(zip(x.real.tolist(), x.imag.tolist())):
+        if finite_a and math.isfinite(xr) and math.isfinite(xi):
+            out[i] = _exact_quotient(xr, xi, ac.real, ac.imag)
         else:
-            out[i] = np.complex128(vc) / np.complex128(ac)
+            out[i] = np.complex128(complex(xr, xi)) / np.complex128(ac)
     return out
 
 
@@ -132,28 +130,6 @@ def _normwise_error(yr, yi, ex_re, ex_im, mod):
 def _part_error(y, ex):
     """|y - ex| / |ex|; 0 where both are zero, inf where only ex is."""
     return np.where(ex != 0, np.abs(y - ex) / np.abs(ex), np.where(y == 0, 0.0, np.inf))
-
-
-def relative_error(computed, exact):
-    """|computed - exact| / |exact| in wider arithmetic; None when the
-    exact value is zero or non-finite (exclusion, not failure)."""
-    e = complex(exact)
-    if e == 0 or not (math.isfinite(e.real) and math.isfinite(e.imag)):
-        return None
-    c = complex(computed)
-    with np.errstate(all="ignore"):
-        return float(_normwise_error(c.real, c.imag, e.real, e.imag, np.hypot(e.real, e.imag)))
-
-
-def relative_error_parts(computed, exact):
-    """Per-part variant; each entry is None when that exact part is not a
-    usable reference (non-finite), 0.0 when both are zero."""
-    c, e = complex(computed), complex(exact)
-    with np.errstate(all="ignore"):
-        return tuple(
-            float(_part_error(cp, ep)) if math.isfinite(ep) else None
-            for cp, ep in ((c.real, e.real), (c.imag, e.imag))
-        )
 
 
 # --------------------------------------------------------------------------
@@ -314,19 +290,20 @@ def gen_cases(profile: CaseProfile, precision: Precision):
 # Differential measurement
 # --------------------------------------------------------------------------
 
-def _run_crscl_with_plan(x: np.ndarray, plan, env: FpEnv):
-    """Apply the plan, returning the result and a mask of elements whose
-    two-step intermediate left the normal range (bound not applicable)."""
-    y = x.copy()
-    sv = StridedVector.wrap(y)
-    bad_mid = np.zeros(len(x), dtype=bool)
-    for idx, step in enumerate(plan.steps):
-        apply_step(sv, step)
-        if idx == 0 and len(plan.steps) == 2 and len(x):
-            for part in (y.real, y.imag):
-                ap = np.abs(part)
-                bad_mid |= ~np.isfinite(part) | ((ap != 0) & (ap < env.sfmin))
-    return y, bad_mid
+def _mid_step_out_of_range(x: np.ndarray, plan, env: FpEnv):
+    """Mask of the elements that a two-step plan's first step takes out of
+    the normal range: an intermediate part that is not finite, or nonzero
+    and below sfmin.  The bound does not apply to them.  False for a
+    one-step plan."""
+    if len(plan.steps) != 2:
+        return False
+    mid = x.copy()
+    apply_step(StridedVector.wrap(mid), plan.steps[0])
+    out = np.zeros(len(x), dtype=bool)
+    for part in (mid.real, mid.imag):
+        ap = np.abs(part)
+        out |= ~np.isfinite(part) | ((ap != 0) & (ap < env.sfmin))
+    return out
 
 
 def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> ErrorReport:
@@ -348,14 +325,14 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
         hist[plan.case] += n
         axis = plan.axis
 
-        y_plan, bad_mid = _run_crscl_with_plan(x, plan, env)
+        y = x.copy()
         if engine is Engine.CRSCL:
-            y = y_plan
+            apply_plan(StridedVector.wrap(y), plan)
         else:
-            y = x.copy()
             naive_div_scale(StridedVector.wrap(y), a, NAIVE_DIVISION[engine], env)
 
         with np.errstate(all="ignore"):
+            bad_mid = _mid_step_out_of_range(x, plan, env)
             exact = _exact_quotients_wide(x, a, precision)
             ex_re, ex_im = exact.real, exact.imag
             # The reference must be representable in the target precision:

@@ -121,17 +121,6 @@ def _as_parts(a, env: FpEnv):
     return f(c.real), f(c.imag)
 
 
-def compute_uv(a, env: FpEnv):
-    """ur = ar + ai*(ai/ar), ui = ai + ar*(ar/ai), in the working precision.
-
-    (1/ur, -1/ui) is mathematically the reciprocal of a.  Both parts of a
-    must be nonzero; zero-part denominators are routed elsewhere.
-    """
-    with np.errstate(all="ignore"):
-        _, ur, _, ui = _uv_chain(*_as_parts(a, env))
-    return ur, ui
-
-
 def _uv_chain(ar, ai):
     """(r1, ur, r2, ui): r1 = ai/ar, ur = ar + ai*r1, r2 = ar/ai and
     ui = ai + ar*r2, each operation rounded to the working precision."""

@@ -73,21 +73,6 @@ class TestStress:
         assert code == 2
         assert "choose from" in err
 
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRSCL_SEED", "7")
-        code1, out1, _ = run(capsys, "stress", "--profile", "safe", "--count", "50", "--format", "csv")
-        code2, out2, _ = run(capsys, "stress", "--profile", "safe", "--count", "50",
-                             "--seed", "7", "--format", "csv")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRSCL_SEED", "0x1p3")
-        code, out, err = run(capsys, "stress", "--profile", "safe", "--count", "10")
-        assert code == 2
-        assert out == ""
-        assert "bad CRSCL_SEED: '0x1p3'" in err
-
 
 class TestScale:
     def test_scales_file(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,12 @@ from crscl import (
     Precision,
     ProfileName,
     error_report,
-    exact_reciprocal_scale,
     fp_env,
     gen_cases,
     reciprocal_plan,
-    relative_error,
-    relative_error_parts,
     ulp_distance,
 )
+from crscl.oracle import _exact_quotients_wide, _normwise_error, _part_error
 
 ENV32 = fp_env(Precision.BINARY32)
 
@@ -61,31 +60,33 @@ class TestUlpDistance:
 
 class TestRelativeError:
     def test_zero_error(self):
-        assert relative_error(1 + 2j, 1 + 2j) == 0.0
+        assert _normwise_error(1.0, 2.0, 1.0, 2.0, math.hypot(1.0, 2.0)) == 0.0
 
     def test_value(self):
-        assert relative_error(3.0, 4.0) == pytest.approx(0.25)
-
-    def test_excluded_references(self):
-        assert relative_error(1.0, 0.0) is None
-        assert relative_error(1.0, complex(math.inf, 0)) is None
-        assert relative_error(1.0, math.nan) is None
+        assert _normwise_error(3.0, 0.0, 4.0, 0.0, 4.0) == pytest.approx(0.25)
 
     def test_parts(self):
-        r = relative_error_parts(complex(1.0, 2.0), complex(2.0, 2.0))
-        assert r == (0.5, 0.0)
-        assert relative_error_parts(complex(1.0, 0.0), complex(1.0, 0.0)) == (0.0, 0.0)
-        assert relative_error_parts(complex(1.0, 1.0), complex(1.0, 0.0))[1] == math.inf
+        # The helper runs under its caller's errstate, as in error_report.
+        with np.errstate(all="ignore"):
+            assert _part_error(1.0, 2.0) == 0.5
+            assert _part_error(2.0, 2.0) == 0.0
+            assert _part_error(0.0, 0.0) == 0.0
+            assert _part_error(1.0, 0.0) == math.inf
+
+
+def exact_quotient(x, a, precision):
+    """The oracle's wide quotient of one element, x/a."""
+    return _exact_quotients_wide(np.array([x], dtype=precision.ctype), a, precision)[0]
 
 
 class TestExactReference:
     def test_safe_quotient_binary32(self):
-        q = exact_reciprocal_scale(np.complex64(1 + 0j), np.complex64(3 + 4j), Precision.BINARY32)
-        assert q == np.complex64(1.0 / complex(3, 4))
+        q = exact_quotient(1 + 0j, np.complex64(3 + 4j), Precision.BINARY32)
+        assert np.complex64(q) == np.complex64(1.0 / complex(3, 4))
 
     def test_rational_path_binary64(self):
         # 1/3 rounded once, not through an intermediate rounding of 1/3's parts
-        q = exact_reciprocal_scale(complex(1, 0), complex(3, 0), Precision.BINARY64)
+        q = exact_quotient(complex(1, 0), complex(3, 0), Precision.BINARY64)
         assert q.real == 1.0 / 3.0
         assert q.imag == 0.0
 
@@ -100,28 +101,81 @@ class TestExactReference:
             x = np.complex64(complex(int(m[0]), int(m[1])) * 2.0**e)
             a = np.complex64(complex(int(m[2]), int(m[3])) * 2.0**e)
             xa = np.complex64(complex(x) * complex(a))
-            back = exact_reciprocal_scale(xa, a, Precision.BINARY32)
+            back = np.complex64(exact_quotient(xa, a, Precision.BINARY32))
             for got, want in ((back.real, x.real), (back.imag, x.imag)):
                 d = ulp_distance(got, want, Precision.BINARY32)
                 assert d is not None and d <= 1
 
     @pytest.mark.filterwarnings("error")
     def test_quotient_beyond_binary32_rounds_without_warning(self):
-        q = exact_reciprocal_scale(1, 2.0**-140, Precision.BINARY32)
-        assert q == np.complex64(complex(math.inf, 0.0))
+        # The wide quotient 2^140 is finite; only the target cannot hold it.
+        q = exact_quotient(1, np.complex64(2.0**-140), Precision.BINARY32)
+        assert q == 2.0**140
 
     def test_extreme_quotient_binary64(self):
-        q = exact_reciprocal_scale(
-            complex(1, 0), complex(2.0**-1000, 0), Precision.BINARY64
-        )
+        q = exact_quotient(complex(1, 0), complex(2.0**-1000, 0), Precision.BINARY64)
         assert q.real == 2.0**1000
 
     def test_quotient_beyond_range_rounds_to_infinity(self):
         # 1 / 2^-1040 = 2^1040 exceeds binary64: the reference says so
-        q = exact_reciprocal_scale(
-            complex(1, 0), complex(2.0**-1040, 0), Precision.BINARY64
-        )
+        q = exact_quotient(complex(1, 0), complex(2.0**-1040, 0), Precision.BINARY64)
         assert q.real == math.inf
+
+
+def _fraction_quotient(x: complex, a: complex):
+    """x/a in Fraction arithmetic: the exact parts, and each rounded once
+    to binary64."""
+    fxr, fxi, far, fai = map(Fraction, (x.real, x.imag, a.real, a.imag))
+    den = far * far + fai * fai
+    exact = ((fxr * far + fxi * fai) / den, (fxi * far - fxr * fai) / den)
+    rounded = []
+    for q in exact:
+        try:
+            rounded.append(float(q))
+        except OverflowError:
+            rounded.append(math.inf if q > 0 else -math.inf)
+    return exact, rounded
+
+
+def _draw_binary64_parts(rng, n):
+    """n finite binary64 values over the whole format: about 10% signed
+    zeros, 15% subnormals and the rest normal with a uniform exponent."""
+    kind = rng.random(n)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    mant = rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
+    expo = rng.integers(1, 2047, size=n, dtype=np.uint64)
+    expo[kind < 0.25] = 0
+    mant[kind < 0.10] = 0
+    return (sign | (expo << np.uint64(52)) | mant).view(np.float64)
+
+
+def test_integer_quotients_match_fraction_reference():
+    # Binary64 wide quotients against an independent Fraction reference,
+    # bit for bit and with the sign of zero, on operand sets (xr, xi, ar,
+    # ai) spanning the whole format: 10 elements x per denominator a.
+    rng = np.random.default_rng(19)
+    sets = mismatches = 0
+    seen = dict.fromkeys(("subnormal_part", "zero_part", "overflow", "subnormal", "underflow_to_zero"), 0)
+    while sets < 40_000:
+        ar, ai, *xp = _draw_binary64_parts(rng, 22).tolist()
+        if ar == 0 and ai == 0:
+            continue
+        a = complex(ar, ai)
+        x = np.array([complex(r, i) for r, i in zip(xp[0::2], xp[1::2])])
+        got = _exact_quotients_wide(x, np.complex128(a), Precision.BINARY64)
+        for v, g in zip(x.tolist(), got.tolist()):
+            exact, rounded = _fraction_quotient(v, a)
+            sets += 1
+            mismatches += np.array([g.real, g.imag]).tobytes() != np.array(rounded).tobytes()
+            for q, r in zip(exact, rounded):
+                seen["overflow"] += math.isinf(r)
+                seen["subnormal"] += 0 < abs(r) < 2.0**-1022
+                seen["underflow_to_zero"] += r == 0 and q != 0
+        for p in (ar, ai, *xp):
+            seen["zero_part"] += p == 0
+            seen["subnormal_part"] += 0 < abs(p) < 2.0**-1022
+    assert mismatches == 0
+    assert min(seen.values()) >= 100, seen
 
 
 class TestGenCases:

@@ -10,12 +10,12 @@ from crscl import (
     Precision,
     StepKind,
     StridedVector,
-    compute_uv,
     crscl,
     fp_env,
     gamma,
     reciprocal_plan,
 )
+from crscl.plan import _uv_chain
 
 ENV32 = fp_env(Precision.BINARY32)
 ENV64 = fp_env(Precision.BINARY64)
@@ -237,7 +237,7 @@ def test_full_small_prescale_on_remark1_denominators(env):
 
 def test_compute_uv_formula():
     ar, ai = 3.0, 4.0
-    ur, ui = compute_uv(complex(ar, ai), ENV64)
+    _, ur, _, ui = _uv_chain(np.float64(ar), np.float64(ai))
     r1 = ai / ar
     r2 = ar / ai
     assert float(ur) == ar + ai * r1
