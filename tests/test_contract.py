@@ -4,7 +4,9 @@
   for the two naive engines together;
 - every plan and the crscl and rscl result bits over a corpus of
   denominators in both precisions;
-- `reproduce-issues --format json` and `scale --explain` output.
+- `reproduce-issues --format json` and `scale --explain` output;
+- three-engine `stress` runs long enough to fill more than one kernel
+  block, and `scale` on a 4096-line file of mixed tokens.
 
 A change that alters these bits on purpose must say which plans changed
 and why, and update the digests here.
@@ -189,3 +191,70 @@ def test_scale_explain_digest(capsys, tmp_path, precision):
         out = capsys.readouterr()
         h.update(f"{denom} {code}\n{out.out}{out.err}".encode())
     assert h.hexdigest() == SCALE_DIGESTS[precision]
+
+
+# --------------------------------------------------------------------------
+# Long stress runs and vector files
+# --------------------------------------------------------------------------
+
+# Count 1500 with all three engines: the largest plan group of each run
+# (full_inf_rescue in binary32 mixed, full_small in binary64 tiny) holds
+# more than BLOCK samples.
+LONG_STRESS_DIGESTS = {
+    ("mixed", "binary32"): (0, "f35a4d13a9f7a9b731d9086e1270fe9b8d99794111af3706f0ddbdc26581e273"),
+    ("tiny", "binary64"): (0, "ce53d7ccd2051e64bb11863da849fb8a530a2d2e64c290c458f689c4098db4fc"),
+}
+
+
+@pytest.mark.parametrize(
+    "profile,precision", list(LONG_STRESS_DIGESTS), ids=[f"{p}-{q}" for p, q in LONG_STRESS_DIGESTS]
+)
+def test_long_stress_json_digest(capsys, profile, precision):
+    code = main([
+        "stress", "--format", "json", "--precision", precision,
+        "--profile", profile, "--seed", "5", "--count", "1500",
+        "--engine", "crscl", "--engine", "naive_smith", "--engine", "naive_textbook",
+    ])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LONG_STRESS_DIGESTS[profile, precision]
+
+
+def _vector_file(lines=4096, seed=5):
+    """A vector file mixing hex-float and decimal tokens of either sign,
+    half near the binary32 range and half over the binary64 range, with
+    comment-only, trailing-comment and blank lines."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(lines):
+        toks = []
+        for _ in range(2):
+            lo, hi = (-160, 140) if rng.integers(0, 2) else (-1080, 1023)
+            v = float(np.ldexp(rng.random() + 0.5, int(rng.integers(lo, hi))))
+            if rng.integers(0, 2):
+                v = -v
+            toks.append(v.hex() if rng.integers(0, 2) else repr(v))
+        line = " ".join(toks)
+        if k % 7 == 0:
+            line += "  # trailing"
+        out.append(line)
+        if k % 11 == 0:
+            out.append("")
+        if k % 13 == 0:
+            out.append("# comment")
+    return "\n".join(out) + "\n"
+
+
+SCALE_FILE_DIGESTS = {
+    "binary32": (0, "690eb5a06fed968548c4ede01abf0b2d85342efaaf2ec07f25387eb380b64712"),
+    "binary64": (0, "4fd7c2ca42a43fc64ade4bee05c0ecc9dc3eaa2b8af6aa8bf8ad2137989acfdd"),
+}
+
+
+@pytest.mark.parametrize("precision", list(SCALE_FILE_DIGESTS))
+def test_scale_file_digest(capsys, tmp_path, precision):
+    src = tmp_path / "x.txt"
+    src.write_text(_vector_file())
+    code = main(["scale", "--in", str(src), "--precision", precision,
+                 "--denom", "0x1.8p-3", "-0x1.4p+2"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SCALE_FILE_DIGESTS[precision]
