@@ -17,14 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fpenv import FpEnv, Precision, fp_env, gamma
-from .plan import CaseTag, reciprocal_plan
-from .vector import (
-    Division,
-    StridedVector,
-    apply_plan,
-    apply_step,
-    naive_div_scale,
-)
+from .hexfloat import format_hex
+from .plan import CaseTag, ScaleStep, reciprocal_plan
+from .vector import BLOCK, QUOTIENT, Division, StridedVector, _scale
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,7 +41,7 @@ class Engine(enum.Enum):
     NAIVE_TEXTBOOK = "naive_textbook"
 
 
-# The per-element division each naive engine runs through naive_div_scale.
+# The per-element division each naive engine runs.
 NAIVE_DIVISION = {Engine.NAIVE_SMITH: Division.SMITH, Engine.NAIVE_TEXTBOOK: Division.TEXTBOOK}
 
 
@@ -101,20 +96,21 @@ def _exact_quotient(xr: float, xi: float, ar: float, ai: float) -> complex:
 
 
 def _exact_quotients_wide(x: np.ndarray, a, precision: Precision):
-    """Unrounded wider-precision quotients for a whole vector.
+    """Unrounded wider-precision quotients x/a for a whole vector; a is
+    one denominator or one per element.
 
     Runs under the caller's np.errstate.
     """
+    a = np.broadcast_to(np.asarray(a, dtype=np.complex128), x.shape)
     if precision is Precision.BINARY32:
-        return x.astype(np.complex128) / np.complex128(complex(a))
-    ac = complex(a)
+        return x.astype(np.complex128) / a
     out = np.empty(len(x), dtype=np.complex128)
-    finite_a = math.isfinite(ac.real) and math.isfinite(ac.imag) and ac != 0
-    for i, (xr, xi) in enumerate(zip(x.real.tolist(), x.imag.tolist())):
-        if finite_a and math.isfinite(xr) and math.isfinite(xi):
-            out[i] = _exact_quotient(xr, xi, ac.real, ac.imag)
+    parts = (p.tolist() for p in (x.real, x.imag, a.real, a.imag))
+    for i, (xr, xi, ar, ai) in enumerate(zip(*parts)):
+        if (ar or ai) and all(map(math.isfinite, (xr, xi, ar, ai))):
+            out[i] = _exact_quotient(xr, xi, ar, ai)
         else:
-            out[i] = np.complex128(complex(xr, xi)) / np.complex128(ac)
+            out[i] = np.complex128(complex(xr, xi)) / np.complex128(complex(ar, ai))
     return out
 
 
@@ -265,7 +261,7 @@ def gen_cases(profile: CaseProfile, precision: Precision):
         vals = _special_values(env)
         pairs = itertools.cycle(itertools.product(vals, vals))
         for re, im in itertools.islice(pairs, profile.count):
-            n = int(rng.choice(VECTOR_LENGTHS))
+            n = VECTOR_LENGTHS[rng.integers(len(VECTOR_LENGTHS))]
             yield env.ctype(complex(re, im)), _draw_vector(rng, env, n)
         return
 
@@ -282,121 +278,146 @@ def gen_cases(profile: CaseProfile, precision: Precision):
         else:
             re, im = _draw_denominator(rng, profile.name, env, lim)
         a = env.ctype(complex(float(re), float(im)))
-        n = int(rng.choice(VECTOR_LENGTHS))
+        # Index rather than rng.choice: the same draw, without its overhead.
+        n = VECTOR_LENGTHS[rng.integers(len(VECTOR_LENGTHS))]
         yield a, _draw_vector(rng, env, n)
 
 
 # --------------------------------------------------------------------------
 # Differential measurement
+#
+# A profile runs as arrays: its cases are drawn first and their vectors
+# concatenated.  Plans are built once per case, the kernel runs once per
+# group of cases with the same step kinds, and the references, exclusions
+# and errors are whole-array operations.
 # --------------------------------------------------------------------------
 
-def _mid_step_out_of_range(x: np.ndarray, plan, env: FpEnv):
-    """Mask of the elements that a two-step plan's first step takes out of
-    the normal range: an intermediate part that is not finite, or nonzero
-    and below sfmin.  The bound does not apply to them.  False for a
-    one-step plan."""
-    if len(plan.steps) != 2:
-        return False
-    mid = x.copy()
-    apply_step(StridedVector.wrap(mid), plan.steps[0])
-    out = np.zeros(len(x), dtype=bool)
-    for part in (mid.real, mid.imag):
-        ap = np.abs(part)
-        out |= ~np.isfinite(part) | ((ap != 0) & (ap < env.sfmin))
-    return out
+def _apply_plans(x: np.ndarray, plans, lengths, env: FpEnv):
+    """x scaled by each case's plan, and the mask of the elements that a
+    two-step plan's first step takes out of the normal range: an
+    intermediate part that is not finite, or nonzero and below sfmin.  The
+    bound does not apply to them.
+
+    x concatenates the cases' vectors, lengths[k] elements for plans[k].
+    The cases whose plans have the same step kinds form one group.  Its
+    elements are gathered, each step's factors are repeated per element
+    and interleaved to the kernel's (re, im) pairs, and `_scale` runs one
+    step at a time on chunks of at most BLOCK elements.  Runs under the
+    caller's np.errstate.
+    """
+    kinds = {}
+    group = np.array([kinds.setdefault(tuple(s.kind for s in p.steps), len(kinds)) for p in plans])
+    order = np.argsort(np.repeat(group, lengths), kind="stable")
+    ys = x[order]
+    mid = np.zeros(len(x), dtype=bool)
+    lo = 0
+    for g, step_kinds in enumerate(kinds):
+        members = group == g
+        group_plans = [p for p, m in zip(plans, members.tolist()) if m]
+        pairs = 2 * lengths[members]
+        hi = lo + int(pairs.sum()) // 2
+        # Each step with its factors per element, repeated for both slots.
+        steps = [
+            ScaleStep(kind, *(
+                np.repeat(np.array([getattr(p.steps[j], part) for p in group_plans], env.ftype), pairs)
+                for part in ("re", "im")
+            ))
+            for j, kind in enumerate(step_kinds)
+        ]
+        for c in range(lo, hi, BLOCK):
+            e = min(c + BLOCK, hi)
+            chunk, pair = ys[c:e], slice(2 * (c - lo), 2 * (e - lo))
+            for j, s in enumerate(steps):
+                _scale(StridedVector.wrap(chunk), (ScaleStep(s.kind, s.re[pair], s.im[pair]),))
+                if j == 0 and len(steps) == 2:
+                    for part in (chunk.real, chunk.imag):
+                        ap = np.abs(part)
+                        mid[c:e] |= ~np.isfinite(part) | ((ap != 0) & (ap < env.sfmin))
+        lo = hi
+    y = np.empty_like(x)
+    y[order] = ys
+    bad_mid = np.empty_like(mid)
+    bad_mid[order] = mid
+    return y, bad_mid
 
 
 def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> ErrorReport:
     """Run the engine over the profile's stream and compare against the
-    wider-precision reference, aggregating bound conformance."""
+    wider-precision reference, aggregating bound conformance.
+
+    The whole profile is drawn first; every later step works on the
+    concatenated vectors, with each case's denominator, plan flags and
+    bound repeated per element.
+    """
     env = fp_env(precision)
-    g2 = gamma(2, env)
-    bound_full = SQRT2 * gamma(6, env)
     min_normal = float(env.sfmin)
-    rep = ErrorReport(bound=bound_full)
+    rep = ErrorReport(bound=SQRT2 * gamma(6, env))
+    cases = [(a, x) for a, x in gen_cases(profile, precision) if len(x)]
+    if not cases:
+        return rep
+    plans = [reciprocal_plan(a, env) for a, _ in cases]
+    lengths = np.array([len(x) for _, x in cases])
+    x = np.concatenate([x for _, x in cases])
+    a = np.repeat(np.array([a for a, _ in cases], dtype=env.ctype), lengths)
+    axis = np.repeat([p.axis for p in plans], lengths)
+    # A plan with a non-finite factor (a zero, infinite or NaN a): the
+    # bound does not apply to any of its elements.
+    bad_plan = np.repeat(
+        [not all(math.isfinite(f) for s in p.steps for f in (s.re, s.im)) for p in plans], lengths
+    )
     hist = {tag: 0 for tag in CaseTag}
-
-    for a, x in gen_cases(profile, precision):
-        n = len(x)
-        rep.samples += n
-        if n == 0:
-            continue
-        plan = reciprocal_plan(a, env)
+    for plan, n in zip(plans, lengths.tolist()):
         hist[plan.case] += n
-        axis = plan.axis
-
-        y = x.copy()
-        if engine is Engine.CRSCL:
-            apply_plan(StridedVector.wrap(y), plan)
-        else:
-            naive_div_scale(StridedVector.wrap(y), a, NAIVE_DIVISION[engine], env)
-
-        with np.errstate(all="ignore"):
-            bad_mid = _mid_step_out_of_range(x, plan, env)
-            exact = _exact_quotients_wide(x, a, precision)
-            ex_re, ex_im = exact.real, exact.imag
-            # The reference must be representable in the target precision:
-            # quotients that overflow the target are outside the bound's
-            # validity region even when finite in the wider arithmetic.
-            finite_exact = (
-                np.isfinite(ex_re.astype(precision.ftype))
-                & np.isfinite(ex_im.astype(precision.ftype))
-            )
-            mod = np.hypot(np.where(finite_exact, ex_re, 0.0), np.where(finite_exact, ex_im, 0.0))
-            x_zero = (x.real == 0) & (x.imag == 0)
-            x_bad = ~(np.isfinite(x.real) & np.isfinite(x.imag))
-            exclude = x_zero | x_bad | ~finite_exact | (mod < min_normal) | bad_mid
-            if not np.isfinite([f for s in plan.steps for f in (s.re, s.im)]).all():
-                exclude |= True
-            if axis:
-                for part in (ex_re, ex_im):
-                    ap = np.abs(part)
-                    exclude |= np.isfinite(part) & (ap != 0) & (ap < min_normal)
-
-            included = ~exclude
-            rep.excluded += int(np.count_nonzero(exclude))
-            if not included.any():
-                continue
-
-            yr = y.real.astype(np.float64)
-            yi = y.imag.astype(np.float64)
-            if axis:
-                err = np.maximum(_part_error(yr, ex_re), _part_error(yi, ex_im))
-                bound = g2
-            else:
-                err = _normwise_error(yr, yi, ex_re, ex_im, mod)
-                bound = bound_full
-            err = np.where(included, err, 0.0)
-            bad = included & ~np.isfinite(err)
-            err = np.where(bad, np.inf, err)
-
-            rep.max_rel_err = max(rep.max_rel_err, float(np.max(err)))
-            viol = included & (err > bound)
-            nviol = int(np.count_nonzero(viol))
-            if nviol:
-                rep.violations += nviol
-                _record_failures(rep, a, x, y, exact, err, viol, precision)
-
     rep.case_histogram = {tag.value: c for tag, c in hist.items() if c}
-    return rep
+    rep.samples = len(x)
 
+    with np.errstate(all="ignore"):
+        y, bad_mid = _apply_plans(x, plans, lengths, env)
+        if engine is not Engine.CRSCL:
+            y.real, y.imag = QUOTIENT[NAIVE_DIVISION[engine]](x.real, x.imag, a.real, a.imag)
+        exact = _exact_quotients_wide(x, a, precision)
+        ex_re, ex_im = exact.real, exact.imag
+        # The reference must be representable in the target precision:
+        # quotients that overflow the target are outside the bound's
+        # validity region even when finite in the wider arithmetic.
+        finite_exact = (
+            np.isfinite(ex_re.astype(precision.ftype))
+            & np.isfinite(ex_im.astype(precision.ftype))
+        )
+        mod = np.hypot(np.where(finite_exact, ex_re, 0.0), np.where(finite_exact, ex_im, 0.0))
+        x_zero = (x.real == 0) & (x.imag == 0)
+        x_bad = ~(np.isfinite(x.real) & np.isfinite(x.imag))
+        exclude = x_zero | x_bad | ~finite_exact | (mod < min_normal) | bad_mid | bad_plan
+        for part in (ex_re, ex_im):
+            ap = np.abs(part)
+            exclude |= axis & np.isfinite(part) & (ap != 0) & (ap < min_normal)
+        included = ~exclude
+        rep.excluded = int(np.count_nonzero(exclude))
 
-_MAX_RECORDED_FAILURES = 100
+        yr = y.real.astype(np.float64)
+        yi = y.imag.astype(np.float64)
+        err = np.where(
+            axis,
+            np.maximum(_part_error(yr, ex_re), _part_error(yi, ex_im)),
+            _normwise_error(yr, yi, ex_re, ex_im, mod),
+        )
+        err = np.where(included, err, 0.0)
+        err = np.where(included & ~np.isfinite(err), np.inf, err)
+        rep.max_rel_err = float(np.max(err))
+        viol = included & (err > np.where(axis, gamma(2, env), rep.bound))
+        rep.violations = int(np.count_nonzero(viol))
 
-
-def _record_failures(rep, a, x, y, exact, err, viol, precision):
-    from .hexfloat import format_hex
-
-    idxs = np.nonzero(viol)[0]
-    for i in idxs:
-        if len(rep.failures) >= _MAX_RECORDED_FAILURES:
-            return
+    for i in np.flatnonzero(viol)[:_MAX_RECORDED_FAILURES]:
         rep.failures.append(
             {
-                "a": [format_hex(complex(a).real), format_hex(complex(a).imag)],
+                "a": [format_hex(a[i].real), format_hex(a[i].imag)],
                 "x": [format_hex(x[i].real), format_hex(x[i].imag)],
                 "computed": [format_hex(y[i].real), format_hex(y[i].imag)],
                 "exact": [format_hex(exact[i].real), format_hex(exact[i].imag)],
                 "rel_err": format_hex(err[i]),
             }
         )
+    return rep
+
+
+_MAX_RECORDED_FAILURES = 100

@@ -13,7 +13,10 @@ while the block is still in L2, so a two-step plan reads and writes main
 memory once, not twice.  Each block is seen as contiguous interleaved
 (re, im) pairs: in place when the view is contiguous, otherwise through
 a block-sized staging copy.  A contiguous view of at most BLOCK elements
-is its own single block: no staging copy and no slicing.  The products
+is its own single block: no staging copy and no slicing.  On such a view a
+step's factors may also be arrays, one factor per element, repeated for
+its re and im slots (interleaved like the pairs): the oracle scales many
+cases' elements in one call this way, one chunk of at most BLOCK at a time.  The products
 of an imaginary or complex step go into two temporaries (one product per
 part per factor, over all pairs at once) that its first multiply
 allocates and later blocks reuse, and the sums go back into the block's
@@ -208,17 +211,21 @@ def crscl(x: StridedVector, a, env: FpEnv, counter: FlopCounter | None = None) -
 def smith_quotient(nr, ni, dr, di):
     """Smith's scaled-ratio division: (nr + ni*i) / (dr + di*i).
 
-    Numerator parts may be arrays; the denominator is a scalar pair.  All
-    arithmetic stays in the operands' precision.
+    Any part may be an array, the denominator's too, one per element.  All
+    arithmetic stays in the operands' precision.  With r the ratio of the
+    smaller denominator part to the larger (di/dr when |dr| >= |di|), the
+    quotient is ((nr + ni*r) + (ni - nr*r)*i) / (dr + di*r), or
+    ((nr*r + ni) + (ni*r - nr)*i) / (di + dr*r) otherwise.  The weights
+    (u, v) = (1, r) or (r, 1) give both branches one expression, in each
+    branch's operand order; a product by 1 is exact.
     """
     with np.errstate(all="ignore"):
-        if abs(dr) >= abs(di):
-            r = di / dr
-            den = dr + di * r
-            return (nr + ni * r) / den, (ni - nr * r) / den
-        r = dr / di
-        den = di + dr * r
-        return (nr * r + ni) / den, (ni * r - nr) / den
+        big = abs(dr) >= abs(di)
+        p, q = np.where(big, dr, di), np.where(big, di, dr)
+        r = q / p
+        den = p + q * r
+        u, v = np.where(big, 1, r), np.where(big, r, 1)
+        return (nr * u + ni * v) / den, (ni * u - nr * v) / den
 
 
 def textbook_quotient(nr, ni, dr, di):

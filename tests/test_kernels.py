@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from crscl import (
     scal_imaginary,
     scal_real,
 )
-from crscl.vector import BLOCK
+from crscl.oracle import _special_values
+from crscl.vector import BLOCK, smith_quotient, textbook_quotient
 
 ENV32 = fp_env(Precision.BINARY32)
 ENV64 = fp_env(Precision.BINARY64)
@@ -301,3 +303,24 @@ def test_wider_factor_keeps_wide_intermediates():
     re, im = x[1::2][:19].real, x[1::2][:19].imag
     assert np.array_equal(y[1::2][:19].real, ((re * cr) - (im * ci)).astype(np.float32))
     assert np.array_equal(y[1::2][:19].imag, ((re * ci) + (im * cr)).astype(np.float32))
+
+
+@pytest.mark.parametrize("env", [ENV32, ENV64], ids=["b32", "b64"])
+@pytest.mark.parametrize("quotient", [smith_quotient, textbook_quotient], ids=["smith", "textbook"])
+def test_quotient_with_denominator_per_element(env, quotient):
+    # Every special-value numerator over every special-value denominator:
+    # one call with a denominator per element against one call per
+    # denominator.  Parts agree bit for bit, except that a NaN may carry
+    # either sign: numpy's loops pick among NaN operands by layout.
+    f = env.ftype
+    grid = np.array(list(itertools.product(_special_values(env), repeat=2)), dtype=f)
+    nr, ni = np.tile(grid[:, 0], len(grid)), np.tile(grid[:, 1], len(grid))
+    dr, di = np.repeat(grid[:, 0], len(grid)), np.repeat(grid[:, 1], len(grid))
+    got = quotient(nr, ni, dr, di)
+    want = [np.empty_like(nr), np.empty_like(nr)]
+    for k, (r, i) in enumerate(grid):
+        sel = slice(k * len(grid), (k + 1) * len(grid))
+        want[0][sel], want[1][sel] = quotient(nr[sel], ni[sel], r, i)
+    for g, w in zip(got, want):
+        same = bits(g).reshape(len(g), -1) == bits(w).reshape(len(w), -1)
+        assert np.all(same.all(axis=1) | (np.isnan(g) & np.isnan(w)))

@@ -6,6 +6,8 @@ import pytest
 
 from crscl import (
     CaseProfile,
+    StridedVector,
+    apply_plan,
     CaseTag,
     Engine,
     Precision,
@@ -16,7 +18,8 @@ from crscl import (
     reciprocal_plan,
     ulp_distance,
 )
-from crscl.oracle import _exact_quotients_wide, _normwise_error, _part_error
+from crscl.oracle import _apply_plans, _exact_quotients_wide, _normwise_error, _part_error
+from crscl.vector import BLOCK, apply_step
 
 ENV32 = fp_env(Precision.BINARY32)
 
@@ -247,3 +250,55 @@ class TestErrorReport:
         assert rep.violations == 0
         assert rep.included > 0
         assert rep.max_rel_err <= rep.bound
+
+
+def _per_case(cases, env):
+    """Each case's apply_plan result, and the mid-step mask from its first
+    step alone, concatenated."""
+    ys, mids = [], []
+    for a, x in cases:
+        plan = reciprocal_plan(a, env)
+        y = x.copy()
+        apply_plan(StridedVector.wrap(y), plan)
+        ys.append(y)
+        mid = np.zeros(len(x), dtype=bool)
+        if len(plan.steps) == 2:
+            m = x.copy()
+            apply_step(StridedVector.wrap(m), plan.steps[0])
+            for part in (m.real, m.imag):
+                ap = np.abs(part)
+                mid |= ~np.isfinite(part) | ((ap != 0) & (ap < env.sfmin))
+        mids.append(mid)
+    return np.concatenate(ys), np.concatenate(mids)
+
+
+def _assert_grouped_matches_per_case(cases, env):
+    cases = [(a, x) for a, x in cases if len(x)]
+    plans = [reciprocal_plan(a, env) for a, _ in cases]
+    lengths = np.array([len(x) for _, x in cases])
+    x = np.concatenate([x for _, x in cases])
+    with np.errstate(all="ignore"):
+        y, mid = _apply_plans(x, plans, lengths, env)
+    want_y, want_mid = _per_case(cases, env)
+    bits = np.uint32 if env.precision is Precision.BINARY32 else np.uint64
+    # Bit patterns of each part, so NaN signs and payloads count too.
+    for got, want in ((y.real, want_y.real), (y.imag, want_y.imag)):
+        assert np.array_equal(np.ascontiguousarray(got).view(bits), np.ascontiguousarray(want).view(bits))
+    assert np.array_equal(mid, want_mid)
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+@pytest.mark.parametrize("name", list(ProfileName), ids=lambda n: n.value)
+def test_grouped_plans_match_per_case_apply_plan(name, precision):
+    cases = gen_cases(CaseProfile(name, seed=3, count=400), precision)
+    _assert_grouped_matches_per_case(cases, fp_env(precision))
+
+
+def test_grouped_plans_match_per_case_past_one_block():
+    # More than BLOCK elements share the full_inf_rescue plan kinds, so
+    # the group runs in several chunks.
+    cases = list(gen_cases(CaseProfile(ProfileName.MIXED_EXTREME, seed=5, count=1500), Precision.BINARY32))
+    env = fp_env(Precision.BINARY32)
+    rescue = sum(len(x) for a, x in cases if reciprocal_plan(a, env).case is CaseTag.FULL_INF_RESCUE)
+    assert rescue > BLOCK
+    _assert_grouped_matches_per_case(cases, env)
