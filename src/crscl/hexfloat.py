@@ -2,11 +2,20 @@
 
 Machine-readable output is always hex-float so extreme-exponent values
 round-trip exactly; decimal is accepted on input.
+
+Every literal is rounded once to the target precision.  It is read to
+binary64 first, which is already the correctly rounded binary64 value.  The
+binary32 rounding of that value is the correctly rounded binary32 value
+except where the binary64 value lies exactly halfway between two binary32
+values; only those literals are read again, exactly.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,45 +43,102 @@ def format_complex_hex(re, im) -> str:
     return f"{format_hex(re)} {format_hex(im)}"
 
 
-# A literal beyond the binary32 range may round to infinity, which numpy
-# reports as an overflow warning; only those take an np.errstate.  (A
-# finite Python float always fits binary64.)
-_BINARY32_MAX = float(np.finfo(np.float32).max)
+def _binary64(s: str) -> float:
+    """The literal s (no surrounding blanks) rounded once to binary64:
+    decimal, else hex-float.
+
+    Decimal comes first, since fromhex would read "0.25" as hex digits; a
+    token with an "x" can only be hex.
+    """
+    if "x" not in s and "X" not in s:
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    try:
+        return float.fromhex(s)
+    except ValueError:
+        raise FormatError(f"not a number: {s!r}") from None
+
+
+_HEX = re.compile(r"([+-]?)(?:0x)?([0-9a-f]*)(?:\.([0-9a-f]*))?(?:p([+-]?[0-9]+))?", re.IGNORECASE)
+
+
+def _exact(s: str) -> Fraction:
+    """The exact value of a finite literal that `_binary64` accepts."""
+    if "x" not in s and "X" not in s:
+        try:
+            # Decimal reads the same finite decimal literals as float.
+            return Fraction(Decimal(s))
+        except InvalidOperation:
+            pass
+    sign, whole, frac, exp = _HEX.fullmatch(s).groups()
+    frac = frac or ""
+    q = Fraction(int(whole + frac or "0", 16)) * Fraction(2) ** (int(exp or 0) - 4 * len(frac))
+    return -q if sign == "-" else q
+
+
+def _binary32_midpoints(v: np.ndarray) -> np.ndarray:
+    """Mask of the binary64 values halfway between two adjacent binary32
+    values, 2^128 counting as the one above the largest.
+
+    A literal that rounds to one of them in binary64 may round the wrong
+    way when rounded again to binary32; any other binary64 value rounds to
+    binary32 as its literal does.
+    """
+    m, e = np.frexp(v)
+    # v in units of half a binary32 ulp (2^(e-25) when normal, 2^-150 when
+    # subnormal): an odd integer exactly at a midpoint.
+    q = np.ldexp(m, 25 + e - np.maximum(e, -125))
+    with np.errstate(invalid="ignore"):
+        return (np.mod(q, 2) == 1) & (e <= 128)
+
+
+def _round(values: list, tokens: list, precision: Precision) -> np.ndarray:
+    """Binary64 values parsed from tokens, rounded once to the target.
+
+    A binary32 midpoint is decided from its token's exact value; rounding
+    beyond the binary32 range gives an infinity without a warning.
+    """
+    v = np.array(values, dtype=np.float64)
+    if precision is Precision.BINARY64:
+        return v
+    with np.errstate(over="ignore"):
+        out = v.astype(np.float32)
+        for i in np.flatnonzero(_binary32_midpoints(v)).tolist():
+            mid, exact = values[i], _exact(tokens[i])
+            # out[i] is the even neighbour; the other one is a step toward
+            # the exact value, when that lies on its side of the midpoint.
+            # float(): against a Python float, numpy compares in float32.
+            if exact != mid and (exact > mid) != (float(out[i]) > mid):
+                out[i] = np.nextafter(out[i], np.float32(math.inf if exact > mid else -math.inf))
+    return out
 
 
 def parse_real(s: str, precision: Precision):
     """Parse a hex-float or decimal literal, rounding once to the target."""
     s = s.strip()
-    # Decimal first: fromhex would happily read "0.25" as hex digits.
-    try:
-        x = float(s)
-    except ValueError:
-        try:
-            x = float.fromhex(s)
-        except ValueError:
-            raise FormatError(f"not a number: {s!r}") from None
-    if abs(x) > _BINARY32_MAX:
-        with np.errstate(over="ignore"):
-            return precision.ftype(x)
-    return precision.ftype(x)
+    return _round([_binary64(s)], [s], precision)[0]
 
 
 def read_vector(text: str, precision: Precision) -> np.ndarray:
     """One element per line, "re im"; blank lines and # comments ignored."""
-    out = []
+    values, tokens = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+        parts = raw.partition("#")[0].split()
         if len(parts) != 2:
+            if not parts:
+                continue
             raise FormatError("expected two fields: re im", lineno)
         try:
-            re, im = parse_real(parts[0], precision), parse_real(parts[1], precision)
+            values += (_binary64(parts[0]), _binary64(parts[1]))
         except FormatError as e:
             raise FormatError(str(e), lineno) from None
-        out.append(complex(float(re), float(im)))
-    return np.array(out, dtype=precision.ctype)
+        tokens += parts
+    parts = _round(values, tokens, precision)
+    out = np.empty(len(parts) // 2, dtype=precision.ctype)
+    out.real, out.imag = parts[0::2], parts[1::2]
+    return out
 
 
 def write_vector(x: np.ndarray) -> str:

@@ -44,6 +44,28 @@ class TestScalars:
         # just past the largest binary32 value, still rounding down to it
         assert parse_real("0x1.fffffefp127", Precision.BINARY32) == np.finfo(np.float32).max
 
+    @pytest.mark.parametrize(
+        "literal,want",
+        [
+            # Just above the midpoint 1 + 2^-24, which binary64 rounds to.
+            ("0x1.0000010000000001p0", "0x1.000002p+0"),
+            ("1.00000005960464477539062500000001", "0x1.000002p+0"),
+            ("-0x1.0000010000000001p0", "-0x1.000002p+0"),
+            # Just above half the smallest subnormal.
+            ("0x1.00000000000000001p-150", "0x1p-149"),
+            ("-0x1.00000000000000001p-150", "-0x1p-149"),
+            # Just below the overflow threshold 2^128 - 2^103.
+            ("0x1.fffffefffffffffffp127", "0x1.fffffep+127"),
+            # Exactly on a midpoint: ties to even.
+            ("0x1.000001p0", "0x1p+0"),
+            ("0x1p-150", "0x0p+0"),
+        ],
+    )
+    def test_parse_rounds_binary32_once(self, literal, want):
+        assert parse_real(literal, Precision.BINARY32) == float.fromhex(want)
+        x = read_vector(f"{literal} 0", Precision.BINARY32)
+        assert x[0].real == float.fromhex(want)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
             parse_real("zz", Precision.BINARY32)
@@ -72,3 +94,35 @@ class TestVectors:
         assert len(read_vector("", Precision.BINARY32)) == 0
         assert write_vector(np.array([], dtype=np.complex64)) == ""
 
+
+    def test_accepted_syntax(self):
+        # Bare hex without 0x, digit underscores, infinities and NaNs.
+        text = "1p3 ff\n1_0 -0x1.8p-1\ninf -nan\n-inf nan\n"
+        x = read_vector(text, Precision.BINARY64)
+        assert list(x[:2]) == [8 + 255j, 10 - 0.75j]
+        assert x[2].real == math.inf and x[3].real == -math.inf
+        assert np.isnan(x[2].imag) and math.copysign(1, x[2].imag) == -1
+        assert np.isnan(x[3].imag) and math.copysign(1, x[3].imag) == 1
+
+    def test_comment_only_blank_and_crlf_lines(self):
+        text = "# header only\r\n\r\n   \r\n1 2\r\n  # indented comment\r\n3 -4 # tail\r\n"
+        x = read_vector(text, Precision.BINARY32)
+        assert list(x) == [1 + 2j, 3 - 4j]
+
+    def test_bad_token_message_and_line(self):
+        with pytest.raises(FormatError) as e:
+            read_vector("1 2\n# c\n\n3 0x1.zp0\n", Precision.BINARY32)
+        assert e.value.line == 4
+        assert str(e.value) == "line 4: not a number: '0x1.zp0'"
+
+    def test_three_fields_message_and_line(self):
+        with pytest.raises(FormatError) as e:
+            read_vector("1 2\n\n1 2 3\n", Precision.BINARY64)
+        assert e.value.line == 3
+        assert str(e.value) == "line 3: expected two fields: re im"
+
+    @pytest.mark.filterwarnings("error")
+    def test_binary32_overflow_is_quiet(self):
+        x = read_vector("1e300 -0x1.8p1023\n0x1.ffffffp127 1\n", Precision.BINARY32)
+        assert list(x.real) == [math.inf, math.inf]
+        assert x[0].imag == -math.inf
