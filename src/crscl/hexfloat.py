@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal, InvalidOperation
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -68,9 +68,9 @@ def _exact(s: str) -> Fraction:
     """The exact value of a finite literal that `_binary64` accepts."""
     if "x" not in s and "X" not in s:
         try:
-            # Decimal reads the same finite decimal literals as float.
-            return Fraction(Decimal(s))
-        except InvalidOperation:
+            # Fraction reads the same finite decimal literals as float.
+            return Fraction(s)
+        except ValueError:
             pass
     sign, whole, frac, exp = _HEX.fullmatch(s).groups()
     frac = frac or ""
@@ -94,19 +94,20 @@ def _binary32_midpoints(v: np.ndarray) -> np.ndarray:
         return (np.mod(q, 2) == 1) & (e <= 128)
 
 
-def _round(values: list, tokens: list, precision: Precision) -> np.ndarray:
-    """Binary64 values parsed from tokens, rounded once to the target.
+def _round(values, token, precision: Precision) -> np.ndarray:
+    """Binary64 values, rounded once to the target; token(i) is the
+    literal that values[i] was parsed from.
 
-    A binary32 midpoint is decided from its token's exact value; rounding
+    A binary32 midpoint is decided from its literal's exact value; rounding
     beyond the binary32 range gives an infinity without a warning.
     """
-    v = np.array(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     if precision is Precision.BINARY64:
         return v
     with np.errstate(over="ignore"):
         out = v.astype(np.float32)
         for i in np.flatnonzero(_binary32_midpoints(v)).tolist():
-            mid, exact = values[i], _exact(tokens[i])
+            mid, exact = values[i], _exact(token(i))
             # out[i] is the even neighbour; the other one is a step toward
             # the exact value, when that lies on its side of the midpoint.
             # float(): against a Python float, numpy compares in float32.
@@ -118,25 +119,32 @@ def _round(values: list, tokens: list, precision: Precision) -> np.ndarray:
 def parse_real(s: str, precision: Precision):
     """Parse a hex-float or decimal literal, rounding once to the target."""
     s = s.strip()
-    return _round([_binary64(s)], [s], precision)[0]
+    return _round([_binary64(s)], lambda i: s, precision)[0]
+
+
+def _fields(line: str) -> list:
+    return line.partition("#")[0].split()
 
 
 def read_vector(text: str, precision: Precision) -> np.ndarray:
     """One element per line, "re im"; blank lines and # comments ignored."""
-    values, tokens = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
+    lines = text.splitlines()
+    # Flat binary64 parts, and the index in lines of each element.
+    values, rows = array("d"), array("q")
+    for row, raw in enumerate(lines):
+        parts = _fields(raw)
         if len(parts) != 2:
             if not parts:
                 continue
-            raise FormatError("expected two fields: re im", lineno)
+            raise FormatError("expected two fields: re im", row + 1)
         try:
-            values += (_binary64(parts[0]), _binary64(parts[1]))
+            values.append(_binary64(parts[0]))
+            values.append(_binary64(parts[1]))
         except FormatError as e:
-            raise FormatError(str(e), lineno) from None
-        tokens += parts
-    parts = _round(values, tokens, precision)
-    out = np.empty(len(parts) // 2, dtype=precision.ctype)
+            raise FormatError(str(e), row + 1) from None
+        rows.append(row)
+    parts = _round(values, lambda i: _fields(lines[rows[i // 2]])[i % 2], precision)
+    out = np.empty(len(rows), dtype=precision.ctype)
     out.real, out.imag = parts[0::2], parts[1::2]
     return out
 

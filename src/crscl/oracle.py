@@ -341,6 +341,9 @@ def _apply_plans(x: np.ndarray, plans, lengths, env: FpEnv):
     return y, bad_mid
 
 
+_MAX_RECORDED_FAILURES = 100
+
+
 def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> ErrorReport:
     """Run the engine over the profile's stream and compare against the
     wider-precision reference, aggregating bound conformance.
@@ -418,6 +421,3 @@ def error_report(engine: Engine, profile: CaseProfile, precision: Precision) -> 
             }
         )
     return rep
-
-
-_MAX_RECORDED_FAILURES = 100
