@@ -13,14 +13,15 @@ while the block is still in L2, so a two-step plan reads and writes main
 memory once, not twice.  Each block is seen as contiguous interleaved
 (re, im) pairs: in place when the view is contiguous, otherwise through
 a block-sized staging copy.  A contiguous view of at most BLOCK elements
-is its own single block: no staging copy and no slicing.  On such a view a
-step's factors may also be arrays, one factor per element, repeated for
+is its own single block: no staging copy and no slicing.  On such a view
+a step's factors may also be arrays, one factor per element repeated for
 its re and im slots (interleaved like the pairs): the oracle scales many
-cases' elements in one call this way, one chunk of at most BLOCK at a time.  The products
-of an imaginary or complex step go into two temporaries (one product per
-part per factor, over all pairs at once) that its first multiply
-allocates and later blocks reuse, and the sums go back into the block's
-re/im slots; a plan of real steps allocates nothing.
+cases' elements in one call this way, one chunk of at most BLOCK at a
+time.  The products of an imaginary or complex step go into two
+temporaries (one product per part per factor, over all pairs at once)
+that its first multiply allocates and later blocks reuse, and the sums go
+back into the block's re/im slots; a plan of real steps allocates
+nothing.
 
 One errstate per public call: `crscl` and `rscl` enter a single
 `np.errstate` around both the plan (`plan._reciprocal_plan`) and the

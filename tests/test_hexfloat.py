@@ -63,8 +63,9 @@ class TestScalars:
     )
     def test_parse_rounds_binary32_once(self, literal, want):
         assert parse_real(literal, Precision.BINARY32) == float.fromhex(want)
-        x = read_vector(f"{literal} 0", Precision.BINARY32)
-        assert x[0].real == float.fromhex(want)
+        # Either part of an element, after comment and blank lines.
+        x = read_vector(f"# c\n{literal} 1\n\n0 {literal}  # c\n", Precision.BINARY32)
+        assert x[0].real == x[1].imag == float.fromhex(want)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
